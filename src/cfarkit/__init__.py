@@ -29,11 +29,9 @@ from .detector import (
     OrderStatistic,
     StatKind,
     Sum,
-    Window,
     clutter_statistic,
     decide,
     slide,
-    window_at,
 )
 from .simulation import (
     DetectorCurve,
@@ -81,11 +79,9 @@ __all__ = [
     "Minimum",
     "StatKind",
     "DetectorSpec",
-    "Window",
     "clutter_statistic",
     "decide",
     "slide",
-    "window_at",
     "SolverSettings",
     "ThresholdSolverError",
     "ca_pd",

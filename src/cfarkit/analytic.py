@@ -120,6 +120,9 @@ def ca_threshold(pfa: float, n: int) -> float:
 
 def _os_log_prob(u: float, n: int, k: int) -> float:
     """log of the order-statistic exceedance probability at shifted multiplier u."""
+    if k == 1:
+        # N/(N+u): the log-gamma differences below cancel catastrophically
+        return -math.log1p(u / n)
     return (
         math.lgamma(n + 1)
         - math.lgamma(n - k + 1)
@@ -158,13 +161,17 @@ def os_threshold(
     declared when the relative Pfa residual drops below
     ``settings.relative_tolerance`` or the bracket collapses to machine
     precision (whichever comes first); exhausting the iteration budget
-    raises :class:`ThresholdSolverError` with the last bracket.
+    raises :class:`ThresholdSolverError` with the last bracket.  The
+    minimum (``k == 1``) has Pfa ``N/(N+tau)`` and is inverted in closed
+    form.
     """
     _check_pfa(pfa)
     _check_window(n)
     _check_os_index(k, n)
     if pfa == 1.0:
         return 0.0
+    if k == 1:
+        return n * (1.0 - pfa) / pfa
 
     log_pfa = math.log(pfa)
 

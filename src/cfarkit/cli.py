@@ -26,8 +26,14 @@ import numpy as np
 from .analytic import ThresholdSolverError, ca_pd, ideal_pd, os_pd
 from .config import DetectorRequest, RunConfig
 from .detector import DetectorSpec, Minimum, OrderStatistic, StatKind, Sum
-from .simulation import InterferenceSpec, estimate_pd, pfa_regulation_curve, RegulationSpec, resolve_threshold
-from .stats import ClutterModel, RandomStream, TargetContext, db_to_linear
+from .simulation import (
+    InterferenceSpec,
+    RegulationSpec,
+    _scr_estimates,
+    pfa_regulation_curve,
+    resolve_threshold,
+)
+from .stats import ClutterModel, RandomStream, db_to_linear
 from .verify import run_properties
 
 __all__ = ["main", "console_main"]
@@ -177,17 +183,17 @@ def _pd_curve_rows(cfg: RunConfig) -> list[list]:
                 interference = InterferenceSpec(
                     cfg.interference_count, inr_db, cfg.interference_placement
                 )
-            for g_index, scr_db in enumerate(cfg.scr_db):
-                stream = base.substream(d_index, *spec.stream_key(), i_index, g_index)
-                est = estimate_pd(
-                    spec,
-                    clutter,
-                    TargetContext.from_db(scr_db),
-                    interference,
-                    cfg.runs,
-                    stream,
-                    workers=cfg.workers,
-                )
+            estimates = _scr_estimates(
+                spec,
+                clutter,
+                interference,
+                cfg.scr_db,
+                cfg.runs,
+                base,
+                (d_index, *spec.stream_key(), i_index),
+                cfg.workers,
+            )
+            for scr_db, est in zip(cfg.scr_db, estimates):
                 lo, hi = est.ci()
                 rows.append(
                     [

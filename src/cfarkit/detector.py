@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "Decision",
@@ -32,11 +33,9 @@ __all__ = [
     "Minimum",
     "StatKind",
     "DetectorSpec",
-    "Window",
     "clutter_statistic",
     "decide",
     "slide",
-    "window_at",
 ]
 
 
@@ -140,60 +139,48 @@ class DetectorSpec:
         )
 
 
-@dataclass(frozen=True)
-class Window:
-    """One sliding-window snapshot: CUT plus the two CRP banks.
+def _stat_rows(stat: StatKind, crp: np.ndarray) -> np.ndarray:
+    """Clutter statistic of every row of a (rows, N) CRP matrix.
 
-    Guard cells are excluded; ``lagging`` and ``leading`` each hold
-    ``N/2`` values and together form the CRP.
+    The only implementation of the four statistics; inputs are not checked.
+    The sum is accumulated as two half-bank partial sums and combined,
+    mirroring the two-stage compression of the window hardware.
     """
+    n = crp.shape[1]
+    if isinstance(stat, Sum):
+        half = n // 2
+        return crp[:, :half].sum(axis=1) + crp[:, half:].sum(axis=1)
+    if isinstance(stat, OrderStatistic):
+        return np.partition(crp, stat.k - 1, axis=1)[:, stat.k - 1]
+    if isinstance(stat, Minimum):
+        return crp.min(axis=1)
+    if isinstance(stat, GeometricMean):
+        # a zero cell pushes the mean log to -inf, which maps to the limit
+        # value g = 0
+        with np.errstate(divide="ignore"):
+            return np.exp(np.log(crp).mean(axis=1))
+    raise TypeError(f"unknown statistic kind: {stat!r}")
 
-    cut: float
-    lagging: np.ndarray
-    leading: np.ndarray
 
-    def __post_init__(self) -> None:
-        lag = np.asarray(self.lagging, dtype=float)
-        lead = np.asarray(self.leading, dtype=float)
-        object.__setattr__(self, "lagging", lag)
-        object.__setattr__(self, "leading", lead)
-        if lag.shape != lead.shape or lag.ndim != 1:
-            raise ValueError("lagging and leading banks must be 1-D and equal length")
-        if self.cut < 0 or np.any(lag < 0) or np.any(lead < 0):
-            raise ValueError("window values must be nonnegative")
-
-    def crp(self) -> np.ndarray:
-        return np.concatenate([self.lagging, self.leading])
+def _check_values(values: np.ndarray, what: str) -> None:
+    if np.any(values < 0) or not np.all(np.isfinite(values)):
+        raise ValueError(f"{what} values must be finite and nonnegative")
 
 
 def clutter_statistic(stat: StatKind, crp: np.ndarray) -> float:
     """Compress a CRP to one clutter-level measurement ``g``.
 
-    The sum is accumulated as two half-bank partial sums and combined,
-    mirroring the two-stage compression of the window hardware.  A CRP
-    containing a zero sends the geometric mean to its limit value 0.
+    A CRP containing a zero sends the geometric mean to its limit value 0.
     """
     values = np.asarray(crp, dtype=float)
     if values.ndim != 1 or values.size == 0:
         raise ValueError("CRP must be a nonempty 1-D array")
-    if np.any(values < 0) or not np.all(np.isfinite(values)):
-        raise ValueError("CRP values must be finite and nonnegative")
-    if isinstance(stat, Sum):
-        half = values.size // 2
-        return float(values[:half].sum() + values[half:].sum())
-    if isinstance(stat, OrderStatistic):
-        if stat.k > values.size:
-            raise ValueError(
-                f"order-statistic index {stat.k} exceeds CRP length {values.size}"
-            )
-        return float(np.partition(values, stat.k - 1)[stat.k - 1])
-    if isinstance(stat, GeometricMean):
-        if np.any(values == 0.0):
-            return 0.0
-        return float(np.exp(np.mean(np.log(values))))
-    if isinstance(stat, Minimum):
-        return float(values.min())
-    raise TypeError(f"unknown statistic kind: {stat!r}")
+    _check_values(values, "CRP")
+    if isinstance(stat, OrderStatistic) and stat.k > values.size:
+        raise ValueError(
+            f"order-statistic index {stat.k} exceeds CRP length {values.size}"
+        )
+    return float(_stat_rows(stat, values[None, :])[0])
 
 
 def decide(z0: float, g: float, tau: float) -> Decision:
@@ -206,21 +193,6 @@ def decide(z0: float, g: float, tau: float) -> Decision:
         if not (math.isfinite(value) and value >= 0):
             raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
     return Decision.H1 if z0 > tau * g else Decision.H0
-
-
-def window_at(profile: np.ndarray, index: int, spec: DetectorSpec) -> Window:
-    """Extract the window centred on ``profile[index]``.
-
-    The cell must have ``spec.reach`` cells on both sides.
-    """
-    profile = np.asarray(profile, dtype=float)
-    reach = spec.reach
-    gs = spec.guard_per_side
-    if index < reach or index > profile.size - 1 - reach:
-        raise ValueError(f"cell {index} lacks a complete window on both sides")
-    lagging = profile[index - reach : index - gs]
-    leading = profile[index + gs + 1 : index + reach + 1]
-    return Window(cut=float(profile[index]), lagging=lagging, leading=leading)
 
 
 def slide(profile: np.ndarray, spec: DetectorSpec) -> np.ndarray:
@@ -237,10 +209,17 @@ def slide(profile: np.ndarray, spec: DetectorSpec) -> np.ndarray:
         raise ValueError(
             f"profile must be 1-D with at least {min_len} cells, got shape {profile.shape}"
         )
-    out = np.full(profile.size, Decision.UNTESTED, dtype=np.int8)
+    _check_values(profile, "profile")
     reach = spec.reach
-    for i in range(reach, profile.size - reach):
-        window = window_at(profile, i, spec)
-        g = clutter_statistic(spec.stat, window.crp())
-        out[i] = decide(window.cut, g, spec.threshold_multiplier)
+    # row r is the window centred on cell r + reach: lagging bank, guards,
+    # CUT, guards, leading bank
+    windows = sliding_window_view(profile, 2 * reach + 1)
+    crp = np.concatenate(
+        [windows[:, : spec.half_window], windows[:, reach + spec.guard_per_side + 1 :]], axis=1
+    )
+    g = _stat_rows(spec.stat, crp)
+    if not np.all(np.isfinite(g)):
+        raise ValueError("clutter statistic overflows double precision")
+    out = np.full(profile.size, Decision.UNTESTED, dtype=np.int8)
+    out[reach : profile.size - reach] = windows[:, reach] > spec.threshold_multiplier * g
     return out

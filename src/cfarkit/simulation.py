@@ -4,8 +4,12 @@ Trials are organised into fixed-size blocks of at most ``BLOCK_TRIALS``
 trials.  Block ``b`` of an estimate draws every sample from the substream
 ``stream.substream(b)``, and the per-block success counts are combined by
 exact integer addition, so results are identical for any worker count and
-any scheduling order.  Within a block the draw order is: CRP matrix, CUT
-vector, then interferer placement (when placement is random).
+any scheduling order.  Within a block the draw order is: CRP matrix, then
+CUT vector; nothing else is drawn.
+
+Interferer placement is not random within the engine: every statistic is
+permutation invariant, so ``RandomUniform`` placement is realised on CRP
+cells ``0..count-1``, which gives the same distribution.
 
 Interfering targets and boosted clutter are both realised by scaling:
 an exponential of rate ``lambda`` multiplied by ``c > 0`` is exponential
@@ -18,30 +22,21 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .analytic import SolverSettings, ca_threshold, os_threshold
 from .detector import (
-    Decision,
     DetectorSpec,
     GeometricMean,
     Minimum,
     OrderStatistic,
     StatKind,
     Sum,
-    clutter_statistic,
-    decide,
+    _stat_rows,
 )
-from .stats import (
-    ClutterModel,
-    RandomStream,
-    TargetContext,
-    db_to_linear,
-    target_rate,
-    unit_exponential,
-)
+from .stats import ClutterModel, RandomStream, TargetContext, db_to_linear, unit_exponential
 
 __all__ = [
     "BLOCK_TRIALS",
@@ -79,7 +74,12 @@ class FixedCells:
 
 @dataclass(frozen=True)
 class RandomUniform:
-    """Interferers occupy cells drawn uniformly (without replacement) per trial."""
+    """Interferers occupy cells drawn uniformly (without replacement) per trial.
+
+    Every implemented statistic is permutation invariant, so the engine
+    realises this placement exactly by putting the interferers on CRP
+    cells ``0..count-1``.
+    """
 
 
 Placement = FixedCells | RandomUniform
@@ -193,7 +193,11 @@ class DetectorCurve:
 
 @dataclass(frozen=True)
 class _TrialBatch:
-    """Picklable unit of work: one block of identically configured trials."""
+    """Picklable unit of work: identically configured trials from one stream.
+
+    ``cell_scales`` holds one scale per CRP column, or is empty when no
+    cell is scaled.
+    """
 
     stream: RandomStream
     trials: int
@@ -202,26 +206,7 @@ class _TrialBatch:
     stat: StatKind
     tau: float
     cut_scale: float
-    cell_scales: tuple[tuple[int, float], ...]
-    random_scale: tuple[int, float] | None
-
-
-def _stat_rows(stat: StatKind, crp: np.ndarray) -> np.ndarray:
-    """Clutter statistic of every row of a (trials, N) CRP matrix."""
-    n = crp.shape[1]
-    if isinstance(stat, Sum):
-        half = n // 2
-        return crp[:, :half].sum(axis=1) + crp[:, half:].sum(axis=1)
-    if isinstance(stat, OrderStatistic):
-        return np.partition(crp, stat.k - 1, axis=1)[:, stat.k - 1]
-    if isinstance(stat, Minimum):
-        return crp.min(axis=1)
-    if isinstance(stat, GeometricMean):
-        # exact zeros (probability 2**-53 per draw) push the mean log to -inf,
-        # which maps to the limit value g = 0
-        with np.errstate(divide="ignore"):
-            return np.exp(np.log(crp).mean(axis=1))
-    raise TypeError(f"unknown statistic kind: {stat!r}")
+    cell_scales: tuple[float, ...]
 
 
 def _sample_block(batch: _TrialBatch) -> tuple[np.ndarray, np.ndarray]:
@@ -233,17 +218,8 @@ def _sample_block(batch: _TrialBatch) -> tuple[np.ndarray, np.ndarray]:
     cut /= batch.rate
     if batch.cut_scale != 1.0:
         cut *= batch.cut_scale
-    for index, scale in batch.cell_scales:
-        crp[:, index] *= scale
-    if batch.random_scale is not None:
-        count, scale = batch.random_scale
-        if count == 1:
-            cols = gen.integers(0, batch.window, size=batch.trials)
-            crp[np.arange(batch.trials), cols] *= scale
-        elif count > 1:
-            order = np.argpartition(gen.random((batch.trials, batch.window)), count - 1, axis=1)
-            rows = np.arange(batch.trials)[:, None]
-            crp[rows, order[:, :count]] *= scale
+    if batch.cell_scales:
+        crp *= np.asarray(batch.cell_scales)
     return crp, cut
 
 
@@ -260,14 +236,6 @@ def _batch_ratios(batch: _TrialBatch) -> np.ndarray:
         return cut / g
 
 
-def _split_blocks(stream: RandomStream, runs: int) -> list[tuple[RandomStream, int]]:
-    blocks = []
-    for b in range(0, (runs + BLOCK_TRIALS - 1) // BLOCK_TRIALS):
-        trials = min(BLOCK_TRIALS, runs - b * BLOCK_TRIALS)
-        blocks.append((stream.substream(b), trials))
-    return blocks
-
-
 def _map_blocks(fn, batches: list[_TrialBatch], workers: int) -> list:
     if workers <= 1 or len(batches) <= 1:
         return [fn(b) for b in batches]
@@ -276,12 +244,32 @@ def _map_blocks(fn, batches: list[_TrialBatch], workers: int) -> list:
         return list(pool.map(fn, batches, chunksize=chunk))
 
 
-def _interference_scalings(
-    interference: InterferenceSpec | None, window: int
-) -> tuple[tuple[tuple[int, float], ...], tuple[int, float] | None]:
-    """Translate an interference spec into fixed and random cell scalings."""
+def _map_point(fn, point: _TrialBatch, workers: int) -> list:
+    """Map ``fn`` over the blocks of one point, in block order.
+
+    Block ``b`` holds at most ``BLOCK_TRIALS`` of the point's trials and
+    draws them from ``point.stream.substream(b)``.
+    """
+    batches = [
+        replace(
+            point,
+            stream=point.stream.substream(b),
+            trials=min(BLOCK_TRIALS, point.trials - b * BLOCK_TRIALS),
+        )
+        for b in range((point.trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS)
+    ]
+    return _map_blocks(fn, batches, workers)
+
+
+def _prefix_scales(count: int, scale: float, window: int) -> tuple[float, ...]:
+    """Per-column scales that scale CRP cells ``0..count-1`` by ``scale``."""
+    return (scale,) * count + (1.0,) * (window - count) if count else ()
+
+
+def _interference_scales(interference: InterferenceSpec | None, window: int) -> tuple[float, ...]:
+    """Translate an interference spec into per-column CRP scales."""
     if interference is None or interference.count == 0:
-        return (), None
+        return ()
     if interference.count > window:
         raise ValueError(
             f"{interference.count} interferers exceed the {window}-cell CRP"
@@ -291,8 +279,54 @@ def _interference_scalings(
         cells = interference.placement.indices
         if any(i >= window for i in cells):
             raise ValueError(f"fixed interference cells {cells} outside 0..{window - 1}")
-        return tuple((i, factor) for i in cells), None
-    return (), (interference.count, factor)
+        return tuple(factor if i in cells else 1.0 for i in range(window))
+    return _prefix_scales(interference.count, factor, window)
+
+
+def _detection_point(
+    spec: DetectorSpec,
+    clutter: ClutterModel,
+    target: TargetContext | None,
+    interference: InterferenceSpec | None,
+    trials: int,
+    stream: RandomStream,
+) -> _TrialBatch:
+    """``trials`` detection trials of ``spec``; H0 when ``target`` is None."""
+    return _TrialBatch(
+        stream=stream,
+        trials=trials,
+        window=spec.window_length,
+        rate=clutter.rate,
+        stat=spec.stat,
+        tau=spec.threshold_multiplier,
+        cut_scale=1.0 + target.scr_linear if target is not None else 1.0,
+        cell_scales=_interference_scales(interference, spec.window_length),
+    )
+
+
+def _scr_estimates(
+    spec: DetectorSpec,
+    clutter: ClutterModel,
+    interference: InterferenceSpec | None,
+    scr_grid_db: tuple[float, ...],
+    runs: int,
+    base: RandomStream,
+    key: tuple[int, ...],
+    workers: int,
+) -> tuple[PdEstimate, ...]:
+    """One detector's Pd over an SCR grid; point ``g`` draws from ``base.substream(*key, g)``."""
+    return tuple(
+        estimate_pd(
+            spec,
+            clutter,
+            TargetContext.from_db(scr_db),
+            interference,
+            runs,
+            base.substream(*key, g_index),
+            workers=workers,
+        )
+        for g_index, scr_db in enumerate(scr_grid_db)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -311,22 +345,12 @@ def run_trial(
 
     The CUT is drawn at the target rate under H1 (``target`` given) and at
     the clutter rate under H0 (``target`` is None).  Deterministic in
-    ``stream``.
+    ``stream``: the trial is drawn as the one trial of a block, so
+    ``run_trial(..., s.substream(0))`` is the outcome of
+    ``estimate_pd(..., runs=1, seed=s)``.
     """
-    gen = stream.generator()
-    n = spec.window_length
-    crp = unit_exponential(gen, n) / clutter.rate
-    cut_rate = target_rate(clutter, target) if target is not None else clutter.rate
-    cut = float(unit_exponential(gen, 1)[0]) / cut_rate
-    fixed, random_scale = _interference_scalings(interference, n)
-    for index, scale in fixed:
-        crp[index] *= scale
-    if random_scale is not None:
-        count, scale = random_scale
-        cells = gen.choice(n, size=count, replace=False, shuffle=False)
-        crp[cells] *= scale
-    g = clutter_statistic(spec.stat, crp)
-    return decide(cut, g, spec.threshold_multiplier) is Decision.H1
+    point = _detection_point(spec, clutter, target, interference, 1, stream)
+    return _batch_successes(point) == 1
 
 
 def estimate_pd(
@@ -348,23 +372,8 @@ def estimate_pd(
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     stream = seed if isinstance(seed, RandomStream) else RandomStream(int(seed))
-    fixed, random_scale = _interference_scalings(interference, spec.window_length)
-    cut_scale = 1.0 + target.scr_linear if target is not None else 1.0
-    batches = [
-        _TrialBatch(
-            stream=block_stream,
-            trials=trials,
-            window=spec.window_length,
-            rate=clutter.rate,
-            stat=spec.stat,
-            tau=spec.threshold_multiplier,
-            cut_scale=cut_scale,
-            cell_scales=fixed,
-            random_scale=random_scale,
-        )
-        for block_stream, trials in _split_blocks(stream, runs)
-    ]
-    successes = sum(_map_blocks(_batch_successes, batches, workers))
+    point = _detection_point(spec, clutter, target, interference, runs, stream)
+    successes = sum(_map_point(_batch_successes, point, workers))
     return PdEstimate(successes=successes, runs=runs)
 
 
@@ -395,21 +404,17 @@ def calibrate_threshold_mc(
     if design_pfa == 1.0:
         return 0.0
     stream = seed if isinstance(seed, RandomStream) else RandomStream(int(seed))
-    batches = [
-        _TrialBatch(
-            stream=block_stream,
-            trials=trials,
-            window=window,
-            rate=1.0,  # ratios are scale free, so the rate is immaterial
-            stat=stat,
-            tau=0.0,
-            cut_scale=1.0,
-            cell_scales=(),
-            random_scale=None,
-        )
-        for block_stream, trials in _split_blocks(stream, runs)
-    ]
-    ratios = np.concatenate(_map_blocks(_batch_ratios, batches, workers))
+    point = _TrialBatch(
+        stream=stream,
+        trials=runs,
+        window=window,
+        rate=1.0,  # ratios are scale free, so the rate is immaterial
+        stat=stat,
+        tau=0.0,
+        cut_scale=1.0,
+        cell_scales=(),
+    )
+    ratios = np.concatenate(_map_point(_batch_ratios, point, workers))
     return float(np.quantile(ratios, 1.0 - design_pfa))
 
 
@@ -437,22 +442,17 @@ def pfa_regulation_curve(
     stream = seed if isinstance(seed, RandomStream) else RandomStream(int(seed))
     curve = []
     for j in counts:
-        point_stream = stream.substream(*spec.stream_key(), j)
-        batches = [
-            _TrialBatch(
-                stream=block_stream,
-                trials=trials,
-                window=n,
-                rate=clutter.rate,
-                stat=spec.stat,
-                tau=spec.threshold_multiplier,
-                cut_scale=boost if j > n // 2 else 1.0,
-                cell_scales=tuple((i, boost) for i in range(j)),
-                random_scale=None,
-            )
-            for block_stream, trials in _split_blocks(point_stream, reg.runs)
-        ]
-        successes = sum(_map_blocks(_batch_successes, batches, workers))
+        point = _TrialBatch(
+            stream=stream.substream(*spec.stream_key(), j),
+            trials=reg.runs,
+            window=n,
+            rate=clutter.rate,
+            stat=spec.stat,
+            tau=spec.threshold_multiplier,
+            cut_scale=boost if j > n // 2 else 1.0,
+            cell_scales=_prefix_scales(j, boost, n),
+        )
+        successes = sum(_map_point(_batch_successes, point, workers))
         curve.append((j, PdEstimate(successes=successes, runs=reg.runs)))
     return tuple(curve)
 
@@ -466,30 +466,23 @@ def scr_sweep(experiment: ExperimentSpec, *, workers: int = 1) -> tuple[Detector
     equal) curves.
     """
     base = RandomStream(experiment.seed)
-    curves = []
-    for d_index, det in enumerate(experiment.detectors):
-        estimates = []
-        for g_index, scr_db in enumerate(experiment.scr_grid_db):
-            stream = base.substream(d_index, *det.stream_key(), g_index)
-            estimates.append(
-                estimate_pd(
-                    det,
-                    experiment.clutter,
-                    TargetContext.from_db(scr_db),
-                    experiment.interference,
-                    experiment.runs,
-                    stream,
-                    workers=workers,
-                )
-            )
-        curves.append(
-            DetectorCurve(
-                detector=det,
-                scr_db=tuple(experiment.scr_grid_db),
-                estimates=tuple(estimates),
-            )
+    return tuple(
+        DetectorCurve(
+            detector=det,
+            scr_db=tuple(experiment.scr_grid_db),
+            estimates=_scr_estimates(
+                det,
+                experiment.clutter,
+                experiment.interference,
+                experiment.scr_grid_db,
+                experiment.runs,
+                base,
+                (d_index, *det.stream_key()),
+                workers,
+            ),
         )
-    return tuple(curves)
+        for d_index, det in enumerate(experiment.detectors)
+    )
 
 
 def resolve_threshold(

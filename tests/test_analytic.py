@@ -117,8 +117,11 @@ class TestOrderStatistic:
             assert os_pfa(tau, n, k) == os_pd(tau, 0.0, n, k)
 
     def test_minimum_detector_closed_form(self):
-        for tau, n in itertools.product((0.5, 1.0, 3.0, 10.0), (4, 16, 32)):
-            assert os_pfa(tau, n, 1) == pytest.approx(n / (tau + n), rel=1e-12)
+        # up to the thresholds of Pfa 1e-6 at N = 64, where log-gamma
+        # differences near lgamma(tau) would cancel
+        taus = (0.5, 1.0, 3.0, 10.0, 3199968.0, 6.4e7)
+        for tau, n in itertools.product(taus, (4, 16, 32)):
+            assert os_pfa(tau, n, 1) == pytest.approx(n / (tau + n), rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize(
         "tau,n,k",
@@ -184,6 +187,11 @@ class TestOsThreshold:
     def test_frozen_value(self):
         # root of the k=31, N=32 exceedance at 1e-4: 3.9136403991784251626
         assert os_threshold(1e-4, 32, 31) == pytest.approx(3.913640399178425, rel=1e-12)
+
+    def test_minimum_threshold_is_exact(self):
+        # k = 1 inverts N/(N+tau) = p: tau = N(1/p - 1)
+        assert os_threshold(1e-5, 32, 1) == pytest.approx(3199968.0, rel=1e-14)
+        assert os_threshold(1e-6, 32, 1) == pytest.approx(31999968.0, rel=1e-14)
 
     def test_iteration_budget_failure_carries_bracket(self):
         settings = SolverSettings(relative_tolerance=1e-12, max_iterations=3)

@@ -1,4 +1,4 @@
-"""Window geometry, clutter statistics, and the threshold test."""
+"""Clutter statistics, the threshold test, and sliding-window detection."""
 
 import numpy as np
 import pytest
@@ -12,11 +12,9 @@ from cfarkit.detector import (
     Minimum,
     OrderStatistic,
     Sum,
-    Window,
     clutter_statistic,
     decide,
     slide,
-    window_at,
 )
 
 SCALES = (1e-6, 1e-3, 1.0, 1e3, 1e6)
@@ -134,20 +132,6 @@ class TestDetectorSpec:
         assert len({a.stream_key(), b.stream_key(), c.stream_key()}) == 3
 
 
-class TestWindow:
-    def test_crp_concatenates_banks(self):
-        w = Window(1.0, [1.0, 2.0], [3.0, 4.0])
-        np.testing.assert_array_equal(w.crp(), [1.0, 2.0, 3.0, 4.0])
-
-    def test_rejects_unequal_banks(self):
-        with pytest.raises(ValueError):
-            Window(1.0, [1.0, 2.0], [3.0])
-
-    def test_rejects_negative_values(self):
-        with pytest.raises(ValueError):
-            Window(-1.0, [1.0], [1.0])
-
-
 class TestSlide:
     def test_constant_profile_all_h0(self):
         spec = DetectorSpec(Sum(), 4, 1.0, guard_cells=4)
@@ -181,15 +165,55 @@ class TestSlide:
         with pytest.raises(ValueError):
             slide(np.ones(12), spec)  # needs N + guard + 1 = 13
 
-    def test_window_at_extracts_expected_cells(self):
-        spec = DetectorSpec(Sum(), 4, 1.0, guard_cells=2)
-        profile = np.arange(20.0)
-        w = window_at(profile, 10, spec)
-        assert w.cut == 10.0
-        np.testing.assert_array_equal(w.lagging, [7.0, 8.0])  # beyond 1 guard cell
-        np.testing.assert_array_equal(w.leading, [12.0, 13.0])
+    @pytest.mark.parametrize(
+        "stat, tau",
+        [(Sum(), 0.4), (OrderStatistic(24), 3.0), (Minimum(), 30.0), (GeometricMean(), 8.0)],
+        ids=["sum", "os24", "min", "gm"],
+    )
+    def test_matches_per_cell_reference(self, stat, tau):
+        # reference: one clutter_statistic and one decide per testable cell
+        rng = np.random.default_rng(11)
+        spec = DetectorSpec(stat, 32, tau, guard_cells=8)
+        reach, gs = spec.reach, spec.guard_per_side
+        for _ in range(10):
+            size = int(rng.integers(41, 2000))
+            # clutter edges: piecewise-constant power steps of 0 to 20 dB
+            power = 10.0 ** rng.choice([0.0, 0.5, 1.0, 2.0], size=5)
+            profile = rng.exponential(size=size) * np.repeat(power, -(-size // 5))[:size]
+            expected = np.full(size, Decision.UNTESTED, dtype=np.int8)
+            for i in range(reach, size - reach):
+                crp = np.concatenate(
+                    [profile[i - reach : i - gs], profile[i + gs + 1 : i + reach + 1]]
+                )
+                expected[i] = decide(profile[i], clutter_statistic(stat, crp), tau)
+            np.testing.assert_array_equal(slide(profile, spec), expected)
 
-    def test_window_at_rejects_edge(self):
+    def test_guard_cells_never_enter_the_clutter_estimate(self):
+        # N = 4, one guard cell per side: the CUT at 10 uses cells 7, 8 and
+        # 12, 13; cells 9 and 11 are guards.  On a unit profile g = 4 and the
+        # CUT of 2 exceeds 0.3 * g; a spike that enters g masks it.
+        spec = DetectorSpec(Sum(), 4, 0.3, guard_cells=2)
+        profile = np.ones(21)
+        profile[10] = 2.0
+        assert slide(profile, spec)[10] == Decision.H1
+        for guard in (9, 11):
+            spiked = profile.copy()
+            spiked[guard] = 1e6
+            assert slide(spiked, spec)[10] == Decision.H1
+        for reference in (8, 12, 7, 13):
+            spiked = profile.copy()
+            spiked[reference] = 1e6
+            assert slide(spiked, spec)[10] == Decision.H0
+
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
+    def test_rejects_negative_and_nonfinite_values(self, bad):
+        spec = DetectorSpec(Sum(), 4, 1.0, guard_cells=2)
+        profile = np.ones(20)
+        profile[10] = bad
+        with pytest.raises(ValueError):
+            slide(profile, spec)
+
+    def test_rejects_non_1d_profile(self):
         spec = DetectorSpec(Sum(), 4, 1.0, guard_cells=2)
         with pytest.raises(ValueError):
-            window_at(np.arange(20.0), 2, spec)
+            slide(np.ones((2, 20)), spec)

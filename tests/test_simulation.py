@@ -52,6 +52,22 @@ class TestRunTrial:
         inter = InterferenceSpec(2, 20.0, FixedCells((0, 5)))
         assert isinstance(run_trial(spec, CLUTTER, None, inter, RandomStream(4)), bool)
 
+    def test_is_the_one_trial_block_of_estimate_pd(self):
+        spec = DetectorSpec(Sum(), 8, ca_threshold(0.3, 8), guard_cells=0)
+        outcomes = []
+        for seed in range(12):
+            stream = RandomStream(5, seed)
+            for target, inter in (
+                (None, None),
+                (TargetContext.from_db(3.0), None),
+                (TargetContext.from_db(3.0), InterferenceSpec(2, 10.0)),
+            ):
+                trial = run_trial(spec, CLUTTER, target, inter, stream.substream(0))
+                est = estimate_pd(spec, CLUTTER, target, inter, 1, stream)
+                assert trial is (est.successes == 1)
+                outcomes.append(trial)
+        assert set(outcomes) == {True, False}
+
 
 class TestPdEstimate:
     def test_standard_error_recomputable(self):
@@ -118,6 +134,18 @@ class TestEstimatePd:
             for a, b in ((0, 1), (0, 2), (1, 2)):
                 joint = math.hypot(estimates[a].standard_error, estimates[b].standard_error)
                 assert abs(estimates[a].p_hat - estimates[b].p_hat) <= 4.0 * joint
+
+    @pytest.mark.parametrize("count", [1, 2])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_random_placement_realised_on_leading_cells(self, count, workers):
+        spec = DetectorSpec(OrderStatistic(31), 32, os_threshold(1e-2, 32, 31))
+        target = TargetContext.from_db(10.0)
+        random, fixed = (
+            estimate_pd(spec, CLUTTER, target, InterferenceSpec(count, 20.0, placement),
+                        140_000, 24, workers=workers)
+            for placement in (RandomUniform(), FixedCells(tuple(range(count))))
+        )
+        assert random == fixed
 
     def test_lambda_invariance_of_cfar_detectors(self):
         for spec in (
