@@ -4,7 +4,7 @@ Building blocks:
 
 - :mod:`cfarkit.stats`: clutter/target models, dB conversions, seeded streams
 - :mod:`cfarkit.detector`: window geometry, clutter statistics, threshold test
-- :mod:`cfarkit.analytic`: closed-form Pd/Pfa and threshold inversion
+- :mod:`cfarkit.analytic`: exact Pd/Pfa and threshold inversion
 - :mod:`cfarkit.simulation`: reproducible Monte Carlo engine
 - :mod:`cfarkit.cli`: experiment runner emitting CSV/JSON
 """
@@ -15,6 +15,9 @@ from .analytic import (
     ca_pd,
     ca_pfa,
     ca_threshold,
+    gm_pd,
+    gm_pfa,
+    gm_threshold,
     ideal_pd,
     ideal_threshold,
     os_pd,
@@ -41,7 +44,6 @@ from .simulation import (
     PdEstimate,
     RandomUniform,
     RegulationSpec,
-    calibrate_threshold_mc,
     estimate_pd,
     pfa_regulation_curve,
     resolve_threshold,
@@ -90,6 +92,9 @@ __all__ = [
     "os_pd",
     "os_pfa",
     "os_threshold",
+    "gm_pd",
+    "gm_pfa",
+    "gm_threshold",
     "ideal_threshold",
     "ideal_pd",
     "FixedCells",
@@ -101,7 +106,6 @@ __all__ = [
     "DetectorCurve",
     "run_trial",
     "estimate_pd",
-    "calibrate_threshold_mc",
     "pfa_regulation_curve",
     "scr_sweep",
     "resolve_threshold",

@@ -1,4 +1,4 @@
-"""Closed-form performance of the CA, OS, and ideal fixed-threshold detectors.
+"""Exact performance of the CA, OS, GM, and ideal fixed-threshold detectors.
 
 All expressions assume exponential clutter of rate ``lambda`` and a
 Swerling I target of linear SCR ``S`` in the cell under test, which is
@@ -18,6 +18,15 @@ with ``G`` the gamma function.  Both are evaluated purely in log space:
 ``G(tau + N + 1)`` overflows double precision for modest ``N``, while the
 log-gamma differences stay small and well conditioned.
 
+Geometric mean (``g = (X_1 ... X_N)**(1/N)``)::
+
+    Pfa = E[exp(-tau g)] = (1/2 pi i) * integral G(s) tau**-s G(1 - s/N)**N ds
+    Pd  = Pfa at tau/(1+S)
+
+on a line ``Re s = c``, ``0 < c < N``: the Mellin-Barnes form of
+``exp(-x)`` with ``E[g**-s] = G(1 - s/N)**N``.  It is evaluated by one
+trapezoid sum in log space.
+
 The ideal detector compares the CUT against the fixed level
 ``-ln(Pfa)/lambda``, which requires exact knowledge of ``lambda`` and so
 is not CFAR; it serves as the performance upper bound.  Its detection
@@ -31,6 +40,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "SolverSettings",
     "ThresholdSolverError",
@@ -40,6 +51,9 @@ __all__ = [
     "os_pd",
     "os_pfa",
     "os_threshold",
+    "gm_pd",
+    "gm_pfa",
+    "gm_threshold",
     "ideal_threshold",
     "ideal_pd",
 ]
@@ -155,29 +169,111 @@ def os_threshold(
 ) -> float:
     """Invert the order-statistic Pfa for the threshold multiplier.
 
-    The Pfa is continuous and strictly decreasing in ``tau``, so the root
-    is bracketed by growing the upper edge geometrically and then polished
-    with regula falsi steps safeguarded by bisection.  Convergence is
-    declared when the relative Pfa residual drops below
-    ``settings.relative_tolerance`` or the bracket collapses to machine
-    precision (whichever comes first); exhausting the iteration budget
-    raises :class:`ThresholdSolverError` with the last bracket.  The
-    minimum (``k == 1``) has Pfa ``N/(N+tau)`` and is inverted in closed
-    form.
+    The minimum (``k == 1``) has Pfa ``N/(N+tau)`` and is inverted in
+    closed form; every other index goes through the bracketed solver.
     """
     _check_pfa(pfa)
     _check_window(n)
     _check_os_index(k, n)
-    if pfa == 1.0:
-        return 0.0
     if k == 1:
         return n * (1.0 - pfa) / pfa
+    return _solve_threshold(lambda tau: _os_log_prob(tau, n, k), pfa, settings)
 
+
+# Stirling-series coefficients B_2j / (2j (2j - 1)), j = 1..7
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
+
+
+def _log_gamma(z: np.ndarray) -> np.ndarray:
+    """Complex log-gamma for ``Re z > 0``, correct up to multiples of ``2*pi*i``.
+
+    ``G(z) = G(z + 10) / (z (z+1) ... (z+9))`` moves the argument to
+    ``Re z >= 10``, where seven Stirling terms are accurate to 1e-16.  Only
+    ``exp`` of the result is used, so the branch of the last log is immaterial.
+    """
+    w = z + 10.0
+    series = np.polynomial.polynomial.polyval(1.0 / (w * w), _STIRLING) / w
+    shift = np.log(np.prod([z + j for j in range(10)], axis=0))
+    return (w - 0.5) * np.log(w) - w + 0.5 * math.log(2.0 * math.pi) + series - shift
+
+
+# Trapezoid rule on the upper half of the contour (the integrand is conjugate
+# symmetric): nodes Im s = 0, h, ..., 60, weights h/pi halved at 0.  A contour
+# 0.25 from the poles at s = 0 and N bounds the error by exp(-2 pi 0.25 / h).
+_GM_STEP = 0.02
+_GM_NODES = 1j * np.arange(0.0, 60.0 + _GM_STEP / 2, _GM_STEP)
+_GM_WEIGHTS = np.where(_GM_NODES == 0, 0.5, 1.0) * _GM_STEP / math.pi
+
+
+def _gm_log_pfa(tau: float, n: int) -> float:
+    """log of the geometric-mean false-alarm probability at multiplier ``tau``.
+
+    The contour ``Re s = c`` runs through the saddle point, the minimum of
+    the convex ``log(tau**-c G(c) G(1 - c/n)**n)`` on ``[0.25, n - 0.25]``.
+    ``1 >= Pfa >= 1 - tau``, so below ``tau = 2**-54`` the Pfa rounds to 1.
+    A sum whose integrand has not decayed by the last node, or that cancels
+    by more than six digits, is refused: N = 1024 below Pfa 1e-15, say.
+    """
+    if tau <= 2.0**-54:
+        return 0.0
+    log_tau = math.log(tau)
+
+    def log_peak(c: float) -> float:
+        return math.lgamma(c) + n * math.lgamma(1.0 - c / n) - c * log_tau
+
+    lo, hi = 0.25, n - 0.25
+    for _ in range(40):  # shrinks the bracket to (2/3)**40 of n
+        m1, m2 = (2.0 * lo + hi) / 3.0, (lo + 2.0 * hi) / 3.0
+        lo, hi = (lo, m2) if log_peak(m1) < log_peak(m2) else (m1, hi)
+    s = 0.5 * (lo + hi) + _GM_NODES
+    log_f = _log_gamma(s) + n * _log_gamma(1.0 - s / n) - s * log_tau
+    peak = float(log_f[0].real)
+    terms = _GM_WEIGHTS * np.exp(log_f - peak)
+    total = float(terms.real.sum())
+    trusted = abs(terms[-1]) < 1e-16 * total and np.abs(terms).sum() < 1e6 * total
+    if not (total > 0.0 and trusted):
+        raise ValueError(f"geometric-mean Pfa at tau={tau!r}, N={n} is beyond the quadrature")
+    return min(0.0, peak + math.log(total))
+
+
+def gm_pd(tau: float, scr: float, n: int) -> float:
+    """Geometric-mean detection probability: the Pfa at ``tau/(1+scr)``."""
+    _check_tau(tau)
+    _check_scr(scr)
+    _check_window(n)
+    return math.exp(_gm_log_pfa(tau / (1.0 + scr), n))
+
+
+def gm_pfa(tau: float, n: int) -> float:
+    """Geometric-mean false-alarm probability (Pd at S=0, same code path)."""
+    return gm_pd(tau, 0.0, n)
+
+
+def gm_threshold(pfa: float, n: int, settings: SolverSettings = SolverSettings()) -> float:
+    """Invert the geometric-mean Pfa for the threshold multiplier."""
+    _check_pfa(pfa)
+    _check_window(n)
+    return _solve_threshold(lambda tau: _gm_log_pfa(tau, n), pfa, settings)
+
+
+def _solve_threshold(log_prob, pfa: float, settings: SolverSettings) -> float:
+    """Solve ``log_prob(tau) = log(pfa)`` for ``tau >= 0``, ``0 < pfa <= 1``.
+
+    ``log_prob`` is continuous and strictly decreasing from 0 at ``tau = 0``,
+    so ``pfa = 1`` has the root 0 and any other root is bracketed by growing
+    the upper edge geometrically, then polished by regula falsi safeguarded
+    by bisection until the relative Pfa residual is within
+    ``settings.relative_tolerance`` or the bracket collapses to machine
+    precision.  Exhausting the iteration budget raises
+    :class:`ThresholdSolverError` with the last bracket.
+    """
+    if pfa == 1.0:
+        return 0.0
     log_pfa = math.log(pfa)
 
     def residual(tau: float) -> float:
         # log-space residual; strictly decreasing in tau
-        return _os_log_prob(tau, n, k) - log_pfa
+        return log_prob(tau) - log_pfa
 
     lo, f_lo = 0.0, -log_pfa
     hi = settings.bracket_hi_initial

@@ -23,9 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .analytic import ThresholdSolverError, ca_pd, ideal_pd, os_pd
+from .analytic import ThresholdSolverError, ca_pd, gm_pd, ideal_pd, os_pd
 from .config import DetectorRequest, RunConfig
-from .detector import DetectorSpec, Minimum, OrderStatistic, StatKind, Sum
+from .detector import DetectorSpec, GeometricMean, Minimum, OrderStatistic, Sum
 from .simulation import (
     InterferenceSpec,
     RegulationSpec,
@@ -37,8 +37,6 @@ from .stats import ClutterModel, RandomStream, db_to_linear
 from .verify import run_properties
 
 __all__ = ["main", "console_main"]
-
-_CALIBRATION_KEY = 0x0CA1  # reserved substream branch for MC threshold calibration
 
 PD_CURVE_COLUMNS = (
     "detector",
@@ -102,15 +100,18 @@ def _emit_rows(columns: tuple[str, ...], rows: list[list], fmt: str, out: str | 
         Path(out).write_text(text, encoding="utf-8", newline="")
 
 
-def _closed_form_pd(stat: StatKind, window: int):
-    """Closed-form Pd evaluator for the statistic, or None when there is none."""
+def _exact_pd(spec: DetectorSpec):
+    """Exact Pd ``scr -> Pd`` of the detector in a clean CRP."""
+    stat, tau, n = spec.stat, spec.threshold_multiplier, spec.window_length
     if isinstance(stat, Sum):
-        return lambda tau, s: ca_pd(tau, s, window)
+        return lambda s: ca_pd(tau, s, n)
     if isinstance(stat, OrderStatistic):
-        return lambda tau, s: os_pd(tau, s, window, stat.k)
+        return lambda s: os_pd(tau, s, n, stat.k)
     if isinstance(stat, Minimum):
-        return lambda tau, s: os_pd(tau, s, window, 1)
-    return None
+        return lambda s: os_pd(tau, s, n, 1)
+    if isinstance(stat, GeometricMean):
+        return lambda s: gm_pd(tau, s, n)
+    raise TypeError(f"unknown statistic kind: {stat!r}")
 
 
 def _stat_column(req: DetectorRequest) -> tuple[str, str]:
@@ -118,17 +119,10 @@ def _stat_column(req: DetectorRequest) -> tuple[str, str]:
     return names[req.kind], "" if req.k is None else str(req.k)
 
 
-def _resolve(req: DetectorRequest, cfg: RunConfig, base: RandomStream) -> DetectorSpec:
+def _resolve(req: DetectorRequest, cfg: RunConfig) -> DetectorSpec:
     stat = req.to_stat()
     try:
-        tau = resolve_threshold(
-            stat,
-            cfg.window,
-            cfg.design_pfa,
-            calibration_runs=cfg.calibration_runs,
-            calibration_seed=base.substream(_CALIBRATION_KEY),
-            workers=cfg.workers,
-        )
+        tau = resolve_threshold(stat, cfg.window, cfg.design_pfa)
     except ValueError as exc:
         raise ValueError(f"detector {req.label()!r}: {exc}") from exc
     return DetectorSpec(stat, cfg.window, tau, cfg.guard)
@@ -137,21 +131,8 @@ def _resolve(req: DetectorRequest, cfg: RunConfig, base: RandomStream) -> Detect
 def _cmd_threshold(args) -> int:
     if args.stat == "os" and args.k is None:
         raise ValueError("--k is required for --stat os")
-    requests = {
-        "ca": DetectorRequest("ca"),
-        "os": DetectorRequest("os", args.k),
-        "gm": DetectorRequest("gm"),
-        "min": DetectorRequest("min"),
-    }
-    req = requests[args.stat]
-    tau = resolve_threshold(
-        req.to_stat(),
-        args.window,
-        args.pfa,
-        calibration_seed=RandomStream(args.seed).substream(_CALIBRATION_KEY),
-        workers=args.workers,
-    )
-    print(_format_sig9(tau))
+    req = DetectorRequest(args.stat, args.k if args.stat == "os" else None)
+    print(_format_sig9(resolve_threshold(req.to_stat(), args.window, args.pfa)))
     return 0
 
 
@@ -163,26 +144,22 @@ def _pd_curve_rows(cfg: RunConfig) -> list[list]:
         stat_name, k_text = _stat_column(req)
         if req.kind == "ideal":
             # fixed-threshold bound: analytic, unaffected by CRP interference
-            for scr_db in cfg.scr_db:
-                pd = ideal_pd(cfg.design_pfa, db_to_linear(scr_db))
-                rows.append(["ideal", stat_name, k_text, scr_db, pd, 0.0, pd, pd, 0, "analytic"])
-            continue
-        spec = _resolve(req, cfg, base.substream(d_index))
-        closed = _closed_form_pd(spec.stat, cfg.window)
-        for i_index, inr_db in enumerate(cfg.interference_db):
+            exact, levels = (lambda s: ideal_pd(cfg.design_pfa, s)), (None,)
+        else:
+            spec = _resolve(req, cfg)
+            exact, levels = _exact_pd(spec), cfg.interference_db
+        for i_index, inr_db in enumerate(levels):
             label = req.label() if inr_db is None else f"{req.label()}+int{inr_db:g}dB"
-            if inr_db is None and closed is not None:
+            if inr_db is None:
                 for scr_db in cfg.scr_db:
-                    pd = closed(spec.threshold_multiplier, db_to_linear(scr_db))
+                    pd = exact(db_to_linear(scr_db))
                     rows.append(
                         [label, stat_name, k_text, scr_db, pd, 0.0, pd, pd, 0, "analytic"]
                     )
                 continue
-            interference = None
-            if inr_db is not None:
-                interference = InterferenceSpec(
-                    cfg.interference_count, inr_db, cfg.interference_placement
-                )
+            interference = InterferenceSpec(
+                cfg.interference_count, inr_db, cfg.interference_placement
+            )
             estimates = _scr_estimates(
                 spec,
                 clutter,
@@ -195,20 +172,8 @@ def _pd_curve_rows(cfg: RunConfig) -> list[list]:
             )
             for scr_db, est in zip(cfg.scr_db, estimates):
                 lo, hi = est.ci()
-                rows.append(
-                    [
-                        label,
-                        stat_name,
-                        k_text,
-                        scr_db,
-                        est.p_hat,
-                        est.standard_error,
-                        lo,
-                        hi,
-                        est.runs,
-                        "montecarlo",
-                    ]
-                )
+                rows.append([label, stat_name, k_text, scr_db, est.p_hat, est.standard_error,
+                             lo, hi, est.runs, "montecarlo"])
     return rows
 
 
@@ -231,7 +196,7 @@ def _regulation_rows(cfg: RunConfig) -> list[list]:
     for d_index, req in enumerate(cfg.detectors):
         if req.kind == "ideal":
             raise ValueError("detector 'ideal': regulation applies to adaptive detectors only")
-        spec = _resolve(req, cfg, base.substream(d_index))
+        spec = _resolve(req, cfg)
         curve = pfa_regulation_curve(
             spec, clutter, reg, base.substream(d_index), workers=cfg.workers
         )
@@ -296,8 +261,6 @@ def _build_parser() -> _Parser:
     p_thr.add_argument("--window", type=int, default=32)
     p_thr.add_argument("--k", type=int, default=None)
     p_thr.add_argument("--pfa", type=float, required=True)
-    p_thr.add_argument("--seed", type=int, default=0, help="seed for MC calibration (gm)")
-    p_thr.add_argument("--workers", type=int, default=1)
     p_thr.set_defaults(func=_cmd_threshold)
 
     for name, func in (("pd-curve", _cmd_pd_curve), ("regulation", _cmd_regulation)):

@@ -39,7 +39,6 @@ _KEYS_COMMON = {
     "seed",
     "workers",
     "detectors",
-    "calibration_runs",
 }
 _KEYS_BY_MODE = {
     "pd-curve": _KEYS_COMMON
@@ -176,7 +175,6 @@ class RunConfig:
     runs: int = 1_000_000
     seed: int = 1
     workers: int = 1
-    calibration_runs: int | None = None
     # pd-curve
     scr_db: tuple[float, ...] = ()
     interference_db: tuple[float | None, ...] = (None,)
@@ -238,8 +236,6 @@ class RunConfig:
             kwargs["seed"] = _parse_count(raw["seed"], "seed")
         if "workers" in raw:
             kwargs["workers"] = _parse_count(raw["workers"], "workers")
-        if "calibration_runs" in raw:
-            kwargs["calibration_runs"] = _parse_count(raw["calibration_runs"], "calibration_runs")
         if mode == "pd-curve":
             if "scr_db" in raw:
                 kwargs["scr_db"] = _parse_grid(raw["scr_db"], "scr_db")

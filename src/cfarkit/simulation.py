@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analytic import SolverSettings, ca_threshold, os_threshold
+from .analytic import SolverSettings, ca_threshold, gm_threshold, os_threshold
 from .detector import (
     DetectorSpec,
     GeometricMean,
@@ -50,7 +50,6 @@ __all__ = [
     "DetectorCurve",
     "run_trial",
     "estimate_pd",
-    "calibrate_threshold_mc",
     "pfa_regulation_curve",
     "scr_sweep",
     "resolve_threshold",
@@ -229,26 +228,12 @@ def _batch_successes(batch: _TrialBatch) -> int:
     return int(np.count_nonzero(cut > batch.tau * g))
 
 
-def _batch_ratios(batch: _TrialBatch) -> np.ndarray:
-    crp, cut = _sample_block(batch)
-    g = _stat_rows(batch.stat, crp)
-    with np.errstate(divide="ignore"):
-        return cut / g
-
-
-def _map_blocks(fn, batches: list[_TrialBatch], workers: int) -> list:
-    if workers <= 1 or len(batches) <= 1:
-        return [fn(b) for b in batches]
-    chunk = max(1, len(batches) // (workers * 8))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, batches, chunksize=chunk))
-
-
-def _map_point(fn, point: _TrialBatch, workers: int) -> list:
-    """Map ``fn`` over the blocks of one point, in block order.
+def _point_successes(point: _TrialBatch, workers: int) -> int:
+    """Successes of one point, summed over its blocks.
 
     Block ``b`` holds at most ``BLOCK_TRIALS`` of the point's trials and
-    draws them from ``point.stream.substream(b)``.
+    draws them from ``point.stream.substream(b)``; integer addition makes
+    the sum independent of the order in which workers finish.
     """
     batches = [
         replace(
@@ -258,7 +243,11 @@ def _map_point(fn, point: _TrialBatch, workers: int) -> list:
         )
         for b in range((point.trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS)
     ]
-    return _map_blocks(fn, batches, workers)
+    if workers <= 1 or len(batches) <= 1:
+        return sum(map(_batch_successes, batches))
+    chunk = max(1, len(batches) // (workers * 8))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return sum(pool.map(_batch_successes, batches, chunksize=chunk))
 
 
 def _prefix_scales(count: int, scale: float, window: int) -> tuple[float, ...]:
@@ -373,49 +362,7 @@ def estimate_pd(
         raise ValueError(f"runs must be >= 1, got {runs}")
     stream = seed if isinstance(seed, RandomStream) else RandomStream(int(seed))
     point = _detection_point(spec, clutter, target, interference, runs, stream)
-    successes = sum(_map_point(_batch_successes, point, workers))
-    return PdEstimate(successes=successes, runs=runs)
-
-
-def calibrate_threshold_mc(
-    stat: StatKind,
-    window: int,
-    design_pfa: float,
-    runs: int,
-    seed: int | RandomStream,
-    *,
-    workers: int = 1,
-) -> float:
-    """Empirical threshold multiplier: the (1 - Pfa) quantile of H0 ratios.
-
-    Simulates ``runs`` homogeneous-clutter ratios ``Z0/g`` and reads the
-    quantile off the sample.  Useful for statistics with no closed-form
-    inversion (the geometric mean here).  Requires
-    ``runs >= 100/design_pfa`` so the tail quantile is resolvable.
-    """
-    if not (0.0 < design_pfa <= 1.0):
-        raise ValueError(f"design Pfa must lie in (0, 1], got {design_pfa!r}")
-    minimum_runs = math.ceil(100.0 / design_pfa)
-    if runs < minimum_runs:
-        raise ValueError(
-            f"calibration needs at least {minimum_runs} runs to resolve "
-            f"Pfa={design_pfa:g}, got {runs}"
-        )
-    if design_pfa == 1.0:
-        return 0.0
-    stream = seed if isinstance(seed, RandomStream) else RandomStream(int(seed))
-    point = _TrialBatch(
-        stream=stream,
-        trials=runs,
-        window=window,
-        rate=1.0,  # ratios are scale free, so the rate is immaterial
-        stat=stat,
-        tau=0.0,
-        cut_scale=1.0,
-        cell_scales=(),
-    )
-    ratios = np.concatenate(_map_point(_batch_ratios, point, workers))
-    return float(np.quantile(ratios, 1.0 - design_pfa))
+    return PdEstimate(successes=_point_successes(point, workers), runs=runs)
 
 
 def pfa_regulation_curve(
@@ -452,8 +399,7 @@ def pfa_regulation_curve(
             cut_scale=boost if j > n // 2 else 1.0,
             cell_scales=_prefix_scales(j, boost, n),
         )
-        successes = sum(_map_point(_batch_successes, point, workers))
-        curve.append((j, PdEstimate(successes=successes, runs=reg.runs)))
+        curve.append((j, PdEstimate(successes=_point_successes(point, workers), runs=reg.runs)))
     return tuple(curve)
 
 
@@ -491,15 +437,12 @@ def resolve_threshold(
     design_pfa: float,
     *,
     settings: SolverSettings = SolverSettings(),
-    calibration_runs: int | None = None,
-    calibration_seed: int | RandomStream = 0,
-    workers: int = 1,
 ) -> float:
     """Threshold multiplier achieving ``design_pfa`` for any statistic kind.
 
-    Sum and order statistics use their closed forms (the minimum is the
-    k=1 order statistic); the geometric mean has no closed form and falls
-    back to Monte Carlo calibration.
+    Every statistic has an exact Pfa: closed forms for the sum and the
+    minimum (the k=1 order statistic), a log-gamma expression for order
+    statistics and a Mellin-Barnes quadrature for the geometric mean.
     """
     if isinstance(stat, Sum):
         return ca_threshold(design_pfa, window)
@@ -508,10 +451,5 @@ def resolve_threshold(
     if isinstance(stat, Minimum):
         return os_threshold(design_pfa, window, 1, settings)
     if isinstance(stat, GeometricMean):
-        runs = calibration_runs
-        if runs is None:
-            runs = max(1_000_000, math.ceil(100.0 / design_pfa))
-        return calibrate_threshold_mc(
-            stat, window, design_pfa, runs, calibration_seed, workers=workers
-        )
+        return gm_threshold(design_pfa, window, settings)
     raise TypeError(f"unknown statistic kind: {stat!r}")

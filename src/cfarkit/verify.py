@@ -17,7 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from .analytic import ca_pd, ca_pfa, ca_threshold, ideal_pd, os_pd, os_pfa, os_threshold
+from .analytic import ca_pd, ca_pfa, ca_threshold, gm_pfa, gm_threshold, ideal_pd
+from .analytic import os_pd, os_pfa, os_threshold
 from .detector import (
     DetectorSpec,
     GeometricMean,
@@ -97,11 +98,11 @@ def _check_sum_compression() -> tuple[bool, str]:
     return worst <= 1e-12, f"half-bank sum vs direct sum, worst {worst:.2e}"
 
 
-def _check_ca_round_trip() -> tuple[bool, str]:
+def _round_trip(pfa_of, threshold_of, bound: float) -> tuple[bool, str]:
     worst = 0.0
     for p, n in itertools.product((1e-2, 1e-4, 1e-6), (8, 16, 32, 64)):
-        worst = max(worst, abs(ca_pfa(ca_threshold(p, n), n) - p) / p)
-    return worst <= 1e-12, f"worst relative residual {worst:.2e} (bound 1e-12)"
+        worst = max(worst, abs(pfa_of(threshold_of(p, n), n) - p) / p)
+    return worst <= bound, f"worst relative residual {worst:.2e} (bound {bound:g})"
 
 
 def _check_os_round_trip() -> tuple[bool, str]:
@@ -218,8 +219,9 @@ _REGISTRY: tuple[tuple[str, Callable[[], tuple[bool, str]]], ...] = (
     ("decision-scale-invariance", _check_decision_scale_invariance),
     ("order-statistic-permutation", _check_order_statistic),
     ("sum-half-compression", _check_sum_compression),
-    ("ca-round-trip", _check_ca_round_trip),
+    ("ca-round-trip", lambda: _round_trip(ca_pfa, ca_threshold, 1e-12)),
     ("os-round-trip", _check_os_round_trip),
+    ("gm-round-trip", lambda: _round_trip(gm_pfa, gm_threshold, 1e-10)),
     ("exchangeability", _check_exchangeability),
     ("minimum-consistency", _check_minimum_consistency),
     ("db-round-trip", _check_db_round_trip),

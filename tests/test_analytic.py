@@ -1,8 +1,10 @@
-"""Closed-form evaluators and the threshold solver.
+"""Exact evaluators and the threshold solver.
 
 Derived expectations are frozen from independent sources: 40-digit
 arithmetic for point values, an order-statistic quadrature oracle for the
-exceedance probability, and brute-force Monte Carlo for small windows.
+exceedance probability, brute-force Monte Carlo for small windows, and
+for the geometric mean ``scipy.special.loggamma``, the single-cell
+identity ``Pfa = 1/(1+tau)`` and conditional Monte Carlo.
 The quadrature oracle integrates
 
     P(Z0 > tau * Z_(k)) = integral f_(k)(t) * exp(-tau * t) dt
@@ -17,14 +19,18 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from cfarkit.analytic import (
     SolverSettings,
     ThresholdSolverError,
+    _log_gamma,
     ca_pd,
     ca_pfa,
     ca_threshold,
+    gm_pd,
+    gm_pfa,
+    gm_threshold,
     ideal_pd,
     ideal_threshold,
     os_pd,
@@ -129,7 +135,7 @@ class TestOrderStatistic:
     )
     def test_against_quadrature_oracle(self, tau, n, k):
         oracle = os_exceedance_by_quadrature(tau, n, k)
-        assert os_pfa(tau, n, k) == pytest.approx(oracle, rel=1e-9)
+        assert os_pfa(tau, n, k) == pytest.approx(oracle, rel=1e-9, abs=0.0)
 
     def test_log_gamma_path_survives_large_windows(self):
         value = os_pfa(50.0, 1024, 1023)
@@ -207,6 +213,67 @@ class TestOsThreshold:
             SolverSettings(max_iterations=0)
 
 
+class TestGeometricMean:
+    def test_log_gamma_matches_scipy(self):
+        # the arguments the quadrature meets: G(s) and G(1 - s/N) for
+        # 0.25 <= Re s <= N - 0.25, |Im s| <= 60, N up to 1024
+        rng = np.random.default_rng(11)
+        z = np.concatenate([
+            rng.uniform(0.25, 64.0, 2000) + 1j * rng.uniform(-60.0, 60.0, 2000),
+            rng.uniform(0.25 / 1024, 1.0, 2000) + 1j * rng.uniform(-0.06, 0.06, 2000),
+            np.array([0.25, 1.0, 2.0, 0.5 + 60j, 1e-4 - 0.01j]),
+        ])
+        err = np.abs(np.exp(_log_gamma(z) - special.loggamma(z)) - 1.0)
+        assert err.max() <= 1e-12
+
+    def test_single_cell_identity(self):
+        # N = 1: g is one exponential, so Pfa = E[exp(-tau X)] = 1/(1+tau)
+        for tau in np.logspace(-3.0, 12.0, 61):
+            assert gm_pfa(float(tau), 1) == pytest.approx(1.0 / (1.0 + tau), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("tau,n", [(9.846050029, 16), (3.0, 16), (26.9228569026, 32)])
+    def test_against_conditional_monte_carlo(self, tau, n):
+        # the CUT integrated out: Pfa = E[exp(-tau g)] over n unit exponentials
+        rng = np.random.default_rng([n, 2026])
+        values = np.concatenate([
+            np.exp(-tau * np.exp(np.log(rng.standard_exponential((1 << 16, n))).mean(axis=1)))
+            for _ in range(16)
+        ])
+        se = values.std(ddof=1) / math.sqrt(values.size)
+        assert abs(gm_pfa(tau, n) - values.mean()) <= 4.0 * se
+
+    def test_threshold_round_trips(self):
+        for p, n in itertools.product((0.999, 1e-2, 1e-5, 1e-8, 1e-12), (1, 2, 32, 1024)):
+            tau = gm_threshold(p, n)
+            assert abs(gm_pfa(tau, n) - p) / p <= 1e-10, (p, n, tau)
+
+    def test_frozen_values(self):
+        # the same quadrature evaluated with scipy.special.loggamma
+        assert gm_threshold(1e-3, 32) == pytest.approx(14.3163956341, rel=1e-10)
+        assert gm_threshold(1e-5, 32) == pytest.approx(26.9228569026, rel=1e-10)
+        assert gm_threshold(1e-12, 32) == pytest.approx(100.001127679, rel=1e-10)
+
+    def test_pd_is_pfa_at_scaled_threshold(self):
+        for tau, s in itertools.product((0.5, 8.0, 27.0), (0.0, 1.0, 99.0)):
+            assert gm_pd(tau, s, 32) == gm_pfa(tau / (1.0 + s), 32)
+        pds = [gm_pd(9.0, s, 32) for s in np.linspace(0.0, 100.0, 40)]
+        assert all(b > a for a, b in zip(pds, pds[1:]))
+
+    def test_trivials(self):
+        assert gm_pd(0.0, 3.0, 16) == 1.0
+        assert gm_threshold(1.0, 16) == 0.0
+
+    def test_domain_errors(self):
+        with pytest.raises(ValueError):
+            gm_threshold(0.0, 4)
+        with pytest.raises(ValueError):
+            gm_threshold(1e-3, 0)
+        with pytest.raises(ValueError):
+            gm_pd(-1.0, 0.0, 4)
+        with pytest.raises(ValueError, match="beyond the quadrature"):
+            gm_threshold(1e-30, 1024)  # the integrand outlives the contour
+
+
 class TestIdeal:
     def test_threshold_trivials(self):
         assert ideal_threshold(math.exp(-1.0), 1.0) == pytest.approx(1.0, rel=1e-12)
@@ -218,7 +285,7 @@ class TestIdeal:
 
     def test_pd_reduces_to_pfa_without_target(self):
         for p in PFA_GRID:
-            assert ideal_pd(p, 0.0) == pytest.approx(p, rel=1e-14)
+            assert ideal_pd(p, 0.0) == pytest.approx(p, rel=1e-14, abs=0.0)
 
     def test_pd_frozen_value(self):
         # 10**(-4/11) = 0.43287612810830583474

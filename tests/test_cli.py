@@ -6,7 +6,15 @@ import json
 
 import pytest
 
-from cfarkit.analytic import ca_pd, ca_threshold, ideal_pd, os_pd, os_threshold
+from cfarkit.analytic import (
+    ca_pd,
+    ca_threshold,
+    gm_pd,
+    gm_threshold,
+    ideal_pd,
+    os_pd,
+    os_threshold,
+)
 from cfarkit.cli import main
 from cfarkit.config import RunConfig
 from cfarkit.stats import db_to_linear
@@ -53,6 +61,20 @@ class TestThresholdCommand:
 
     def test_unknown_stat_fails_with_usage(self, capsys):
         code, _, err = run_cli("threshold", "--stat", "bogus", "--pfa", "0.1", capsys=capsys)
+        assert code == 1 and "usage" in err.lower()
+
+    def test_gm_zero_pfa_fails_without_traceback(self, capsys):
+        code, out, err = run_cli("threshold", "--stat", "gm", "--window", "4",
+                                 "--pfa", "0", capsys=capsys)
+        assert code == 1 and out == ""
+        assert "design Pfa must lie in (0, 1]" in err and "Traceback" not in err
+
+    def test_gm_threshold_is_deterministic(self, capsys):
+        code, out, _ = run_cli("threshold", "--stat", "gm", "--window", "32",
+                               "--pfa", "1e-3", capsys=capsys)
+        assert code == 0 and out.strip() == "14.3163956"
+        code, _, err = run_cli("threshold", "--stat", "gm", "--window", "32",
+                               "--pfa", "1e-3", "--seed", "1", capsys=capsys)
         assert code == 1 and "usage" in err.lower()
 
 
@@ -106,6 +128,22 @@ class TestPdCurveCommand:
             assert by_key[("os15", scr_db)] == os_pd(tau_os, s, 16, 15)
             assert by_key[("ideal", scr_db)] == ideal_pd(1e-3, s)
             assert by_key[("min", scr_db)] == os_pd(tau_min, s, 16, 1)
+
+    def test_gm_rows_without_interference_are_analytic(self, tmp_path, capsys):
+        path = tmp_path / "gm.cfg"
+        path.write_text("detectors = gm\nwindow = 16\ndesign_pfa = 1e-3\nscr_db = 0:20:10\n"
+                        "interference_db = none, 20\nruns = 1000\nseed = 9\n")
+        code, out, _ = run_cli("pd-curve", "--config", str(path), capsys=capsys)
+        assert code == 0
+        _, rows = parse_csv(out)
+        tau = gm_threshold(1e-3, 16)
+        for r in rows:
+            if r[0] == "gm":
+                assert r[-1] == "analytic"
+                assert float(r[4]) == gm_pd(tau, db_to_linear(float(r[3])), 16)
+            else:
+                assert r[0] == "gm+int20dB" and r[-1] == "montecarlo"
+        assert len(rows) == 2 * 3
 
     def test_os_k_above_window_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"

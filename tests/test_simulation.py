@@ -8,7 +8,7 @@ import math
 
 import pytest
 
-from cfarkit.analytic import ca_pd, ca_threshold, os_threshold
+from cfarkit.analytic import ca_pd, ca_threshold, gm_threshold, os_threshold
 from cfarkit.detector import DetectorSpec, GeometricMean, Minimum, OrderStatistic, Sum
 from cfarkit.simulation import (
     DetectorCurve,
@@ -18,7 +18,6 @@ from cfarkit.simulation import (
     PdEstimate,
     RandomUniform,
     RegulationSpec,
-    calibrate_threshold_mc,
     estimate_pd,
     pfa_regulation_curve,
     resolve_threshold,
@@ -177,24 +176,8 @@ class TestEstimatePd:
 
 
 class TestCalibration:
-    def test_unit_pfa_gives_zero(self):
-        assert calibrate_threshold_mc(Sum(), 32, 1.0, 1_000_000, 1) == 0.0
-
-    def test_run_guard_names_minimum(self):
-        with pytest.raises(ValueError, match="10000"):
-            calibrate_threshold_mc(Sum(), 32, 1e-2, 5_000, 1)
-
-    def test_matches_ca_closed_form(self):
-        tau = calibrate_threshold_mc(Sum(), 32, 1e-2, 1_000_000, 2)
-        assert tau == pytest.approx(ca_threshold(1e-2, 32), rel=0.02)
-
-    def test_matches_os_closed_form(self):
-        tau = calibrate_threshold_mc(OrderStatistic(31), 32, 1e-2, 1_000_000, 3)
-        assert tau == pytest.approx(os_threshold(1e-2, 32, 31), rel=0.02)
-
     def test_geometric_mean_pipeline_holds_design_pfa(self):
-        tau = resolve_threshold(GeometricMean(), 16, 1e-2, calibration_runs=400_000,
-                                calibration_seed=4)
+        tau = resolve_threshold(GeometricMean(), 16, 1e-2)
         spec = DetectorSpec(GeometricMean(), 16, tau)
         est = estimate_pd(spec, CLUTTER, None, None, 400_000, 5)
         assert est.p_hat == pytest.approx(1e-2, rel=0.10)
@@ -203,6 +186,12 @@ class TestCalibration:
         assert resolve_threshold(Sum(), 32, 1e-4) == ca_threshold(1e-4, 32)
         assert resolve_threshold(OrderStatistic(31), 32, 1e-4) == os_threshold(1e-4, 32, 31)
         assert resolve_threshold(Minimum(), 32, 1e-4) == os_threshold(1e-4, 32, 1)
+        assert resolve_threshold(GeometricMean(), 32, 1e-4) == gm_threshold(1e-4, 32)
+
+    def test_resolve_threshold_rejects_zero_pfa(self):
+        for stat in (Sum(), OrderStatistic(3), Minimum(), GeometricMean()):
+            with pytest.raises(ValueError, match="design Pfa"):
+                resolve_threshold(stat, 4, 0.0)
 
 
 class TestRegulation:
