@@ -184,22 +184,38 @@ def os_threshold(
 _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
 
 
-def _log_gamma(z: np.ndarray) -> np.ndarray:
-    """Complex log-gamma for ``Re z > 0``, correct up to multiples of ``2*pi*i``.
+def _log1p(x: np.ndarray) -> np.ndarray:
+    """Complex ``log(1 + x)``, accurate relative to ``|x|`` for small ``x``."""
+    a, b = x.real, x.imag
+    # |1 + x|**2 - 1 keeps small x exact; where a <= -1/2, 1 + a is exact itself
+    modulus = np.where(a > -0.5, 0.5 * np.log1p(a * (2.0 + a) + b * b), np.log(np.hypot(1.0 + a, b)))
+    return modulus + 1j * np.arctan2(b, 1.0 + a)
 
-    ``G(z) = G(z + 10) / (z (z+1) ... (z+9))`` moves the argument to
-    ``Re z >= 10``, where seven Stirling terms are accurate to 1e-16.  Only
-    ``exp`` of the result is used, so the branch of the last log is immaterial.
+
+def _log_gamma1p(x: np.ndarray) -> np.ndarray:
+    """Complex ``log G(1 + x)`` for ``Re x > -1``, up to multiples of ``2*pi*i``.
+
+    ``G(1 + x) = G(11 + x) / ((1 + x) ... (10 + x))`` moves the argument to
+    ``Re >= 10``, where seven Stirling terms are accurate to 1e-16.  Each
+    part is written as its change from ``x = 0``, so near ``x = 0`` the
+    error shrinks with ``|x|`` instead of staying near 1e-15, as
+    ``N log G(1 - s/N)`` needs at large ``N``.  Only ``exp`` of the result
+    is used.
     """
-    w = z + 10.0
+    w = 11.0 + x
     series = np.polynomial.polynomial.polyval(1.0 / (w * w), _STIRLING) / w
-    shift = np.log(np.prod([z + j for j in range(10)], axis=0))
-    return (w - 0.5) * np.log(w) - w + 0.5 * math.log(2.0 * math.pi) + series - shift
+    series -= np.polynomial.polynomial.polyval(1.0 / 121.0, _STIRLING) / 11.0
+    shift = np.zeros_like(x)  # (1 + x)(1 + x/2) ... (1 + x/10) - 1
+    for j in range(1, 11):
+        shift += (x / j) * (1.0 + shift)
+    stirling = (10.5 + x) * _log1p(x / 11.0) + x * (math.log(11.0) - 1.0)
+    return stirling + series - _log1p(shift)
 
 
 # Trapezoid rule on the upper half of the contour (the integrand is conjugate
 # symmetric): nodes Im s = 0, h, ..., 60, weights h/pi halved at 0.  A contour
-# 0.25 from the poles at s = 0 and N bounds the error by exp(-2 pi 0.25 / h).
+# 0.1 or more from the poles at s = -1, 0 and N bounds the error by
+# exp(-2 pi 0.1 / h) of the integrand's size.
 _GM_STEP = 0.02
 _GM_NODES = 1j * np.arange(0.0, 60.0 + _GM_STEP / 2, _GM_STEP)
 _GM_WEIGHTS = np.where(_GM_NODES == 0, 0.5, 1.0) * _GM_STEP / math.pi
@@ -210,29 +226,41 @@ def _gm_log_pfa(tau: float, n: int) -> float:
 
     The contour ``Re s = c`` runs through the saddle point, the minimum of
     the convex ``log(tau**-c G(c) G(1 - c/n)**n)`` on ``[0.25, n - 0.25]``.
-    ``1 >= Pfa >= 1 - tau``, so below ``tau = 2**-54`` the Pfa rounds to 1.
-    A sum whose integrand has not decayed by the last node, or that cancels
-    by more than six digits, is refused: N = 1024 below Pfa 1e-15, say.
+    Where the saddle would sit left of 0.25 (``tau`` below 0.03 to 0.04, Pfa
+    near 1) the line moves past the pole at ``s = 0`` into ``[-0.9, -0.1]``
+    and the residue 1 is added: the line then carries ``Pfa - 1`` to full
+    relative precision.  ``1 >= Pfa >= 1 - tau``, so below ``tau = 1e-30``
+    the log Pfa is returned as 0.  A sum whose integrand has not decayed by
+    the last node, or that cancels by more than six digits, is refused:
+    N = 1024 below Pfa 1e-15, say.
     """
-    if tau <= 2.0**-54:
+    if tau <= 1e-30:
         return 0.0
     log_tau = math.log(tau)
 
     def log_peak(c: float) -> float:
         return math.lgamma(c) + n * math.lgamma(1.0 - c / n) - c * log_tau
 
-    lo, hi = 0.25, n - 0.25
-    for _ in range(40):  # shrinks the bracket to (2/3)**40 of n
-        m1, m2 = (2.0 * lo + hi) / 3.0, (lo + 2.0 * hi) / 3.0
-        lo, hi = (lo, m2) if log_peak(m1) < log_peak(m2) else (m1, hi)
-    s = 0.5 * (lo + hi) + _GM_NODES
-    log_f = _log_gamma(s) + n * _log_gamma(1.0 - s / n) - s * log_tau
+    def saddle(lo: float, hi: float) -> tuple[float, float]:
+        for _ in range(40):  # shrinks the bracket to (2/3)**40 of its width
+            m1, m2 = (2.0 * lo + hi) / 3.0, (lo + 2.0 * hi) / 3.0
+            lo, hi = (lo, m2) if log_peak(m1) < log_peak(m2) else (m1, hi)
+        return 0.5 * (lo + hi), lo
+
+    c, lo = saddle(0.25, n - 0.25)
+    residue = lo == 0.25  # log_peak rose across the whole bracket
+    if residue:
+        c, _ = saddle(-0.9, -0.1)
+    s = c + _GM_NODES
+    log_f = _log_gamma1p(s) - np.log(s) + n * _log_gamma1p(-s / n) - s * log_tau
     peak = float(log_f[0].real)
     terms = _GM_WEIGHTS * np.exp(log_f - peak)
-    total = float(terms.real.sum())
+    total = float(terms.real.sum()) * (-1.0 if residue else 1.0)
     trusted = abs(terms[-1]) < 1e-16 * total and np.abs(terms).sum() < 1e6 * total
     if not (total > 0.0 and trusted):
         raise ValueError(f"geometric-mean Pfa at tau={tau!r}, N={n} is beyond the quadrature")
+    if residue:
+        return math.log1p(-total * math.exp(peak))
     return min(0.0, peak + math.log(total))
 
 

@@ -29,8 +29,9 @@ from .detector import DetectorSpec, GeometricMean, Minimum, OrderStatistic, Sum
 from .simulation import (
     InterferenceSpec,
     RegulationSpec,
-    _scr_estimates,
-    pfa_regulation_curve,
+    _point_estimates,
+    _regulation_points,
+    _scr_points,
     resolve_threshold,
 )
 from .stats import ClutterModel, RandomStream, db_to_linear
@@ -140,6 +141,7 @@ def _pd_curve_rows(cfg: RunConfig) -> list[list]:
     clutter = ClutterModel(cfg.clutter_rate)
     base = RandomStream(cfg.seed)
     rows: list[list] = []
+    pending, points = [], []  # Monte Carlo rows, completed from one call below
     for d_index, req in enumerate(cfg.detectors):
         stat_name, k_text = _stat_column(req)
         if req.kind == "ideal":
@@ -160,20 +162,15 @@ def _pd_curve_rows(cfg: RunConfig) -> list[list]:
             interference = InterferenceSpec(
                 cfg.interference_count, inr_db, cfg.interference_placement
             )
-            estimates = _scr_estimates(
-                spec,
-                clutter,
-                interference,
-                cfg.scr_db,
-                cfg.runs,
-                base,
+            points += _scr_points(
+                spec, clutter, interference, cfg.scr_db, cfg.runs, base,
                 (d_index, *spec.stream_key(), i_index),
-                cfg.workers,
             )
-            for scr_db, est in zip(cfg.scr_db, estimates):
-                lo, hi = est.ci()
-                rows.append([label, stat_name, k_text, scr_db, est.p_hat, est.standard_error,
-                             lo, hi, est.runs, "montecarlo"])
+            curve = [[label, stat_name, k_text, scr_db] for scr_db in cfg.scr_db]
+            rows += curve
+            pending += curve
+    for row, est in zip(pending, _point_estimates(points, cfg.workers)):
+        row += [est.p_hat, est.standard_error, *est.ci(), est.runs, "montecarlo"]
     return rows
 
 
@@ -193,25 +190,16 @@ def _regulation_rows(cfg: RunConfig) -> list[list]:
         affected_counts=cfg.affected,
     )
     rows: list[list] = []
+    points = []
     for d_index, req in enumerate(cfg.detectors):
         if req.kind == "ideal":
             raise ValueError("detector 'ideal': regulation applies to adaptive detectors only")
         spec = _resolve(req, cfg)
-        curve = pfa_regulation_curve(
-            spec, clutter, reg, base.substream(d_index), workers=cfg.workers
-        )
-        for j, est in curve:
-            rows.append(
-                [
-                    req.label(),
-                    j,
-                    est.p_hat,
-                    est.standard_error,
-                    cfg.design_pfa,
-                    cfg.boost_db,
-                    est.runs,
-                ]
-            )
+        counts, curve = _regulation_points(spec, clutter, reg, base.substream(d_index))
+        rows += [[req.label(), j] for j in counts]
+        points += curve
+    for row, est in zip(rows, _point_estimates(points, cfg.workers)):
+        row += [est.p_hat, est.standard_error, cfg.design_pfa, cfg.boost_db, est.runs]
     return rows
 
 

@@ -7,6 +7,11 @@ exact integer addition, so results are identical for any worker count and
 any scheduling order.  Within a block the draw order is: CRP matrix, then
 CUT vector; nothing else is drawn.
 
+A run plans first: the public operations (and the CLI) build every Monte
+Carlo point of the run, split each point into its blocks, and map all
+blocks through one process pool of at most one process per block.  With
+one worker, or a single block, the blocks run in the calling process.
+
 Interferer placement is not random within the engine: every statistic is
 permutation invariant, so ``RandomUniform`` placement is realised on CRP
 cells ``0..count-1``, which gives the same distribution.
@@ -21,6 +26,7 @@ by ``1 + I`` and a clutter-power step of ``x`` dB scales affected cells by
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -228,26 +234,33 @@ def _batch_successes(batch: _TrialBatch) -> int:
     return int(np.count_nonzero(cut > batch.tau * g))
 
 
-def _point_successes(point: _TrialBatch, workers: int) -> int:
-    """Successes of one point, summed over its blocks.
+def _point_estimates(points: Sequence[_TrialBatch], workers: int) -> list[PdEstimate]:
+    """Estimate every point of a run, each from the successes summed over its blocks.
 
-    Block ``b`` holds at most ``BLOCK_TRIALS`` of the point's trials and
-    draws them from ``point.stream.substream(b)``; integer addition makes
-    the sum independent of the order in which workers finish.
+    Block ``b`` of a point holds at most ``BLOCK_TRIALS`` of its trials and
+    draws them from ``point.stream.substream(b)``.  The blocks of all points
+    are mapped through one pool of at most one process per block; integer
+    addition makes each sum independent of the order in which workers finish.
     """
-    batches = [
-        replace(
-            point,
-            stream=point.stream.substream(b),
-            trials=min(BLOCK_TRIALS, point.trials - b * BLOCK_TRIALS),
-        )
-        for b in range((point.trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS)
-    ]
-    if workers <= 1 or len(batches) <= 1:
-        return sum(map(_batch_successes, batches))
-    chunk = max(1, len(batches) // (workers * 8))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(_batch_successes, batches, chunksize=chunk))
+    owners, blocks = [], []
+    for index, point in enumerate(points):
+        for b in range((point.trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS):
+            owners.append(index)
+            blocks.append(replace(
+                point,
+                stream=point.stream.substream(b),
+                trials=min(BLOCK_TRIALS, point.trials - b * BLOCK_TRIALS),
+            ))
+    processes = min(workers, len(blocks))
+    if processes <= 1:
+        counts = list(map(_batch_successes, blocks))
+    else:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
+            counts = list(pool.map(_batch_successes, blocks))
+    totals = [0] * len(points)
+    for index, count in zip(owners, counts):
+        totals[index] += count
+    return [PdEstimate(hits, point.trials) for hits, point in zip(totals, points)]
 
 
 def _prefix_scales(count: int, scale: float, window: int) -> tuple[float, ...]:
@@ -293,7 +306,7 @@ def _detection_point(
     )
 
 
-def _scr_estimates(
+def _scr_points(
     spec: DetectorSpec,
     clutter: ClutterModel,
     interference: InterferenceSpec | None,
@@ -301,21 +314,39 @@ def _scr_estimates(
     runs: int,
     base: RandomStream,
     key: tuple[int, ...],
-    workers: int,
-) -> tuple[PdEstimate, ...]:
-    """One detector's Pd over an SCR grid; point ``g`` draws from ``base.substream(*key, g)``."""
-    return tuple(
-        estimate_pd(
-            spec,
-            clutter,
-            TargetContext.from_db(scr_db),
-            interference,
-            runs,
+) -> list[_TrialBatch]:
+    """One detector's points over an SCR grid; point ``g`` draws from ``base.substream(*key, g)``."""
+    return [
+        _detection_point(
+            spec, clutter, TargetContext.from_db(scr_db), interference, runs,
             base.substream(*key, g_index),
-            workers=workers,
         )
         for g_index, scr_db in enumerate(scr_grid_db)
-    )
+    ]
+
+
+def _regulation_points(
+    spec: DetectorSpec, clutter: ClutterModel, reg: RegulationSpec, stream: RandomStream
+) -> tuple[tuple[int, ...], list[_TrialBatch]]:
+    """The affected counts ``j`` of a clutter-edge sweep and one point per count."""
+    n = spec.window_length
+    counts = reg.affected_counts if reg.affected_counts is not None else tuple(range(n + 1))
+    if any(j > n for j in counts):
+        raise ValueError(f"affected cell counts must be <= {n}")
+    boost = db_to_linear(reg.boost_db)
+    return counts, [
+        _TrialBatch(
+            stream=stream.substream(*spec.stream_key(), j),
+            trials=reg.runs,
+            window=n,
+            rate=clutter.rate,
+            stat=spec.stat,
+            tau=spec.threshold_multiplier,
+            cut_scale=boost if j > n // 2 else 1.0,
+            cell_scales=_prefix_scales(j, boost, n),
+        )
+        for j in counts
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +393,7 @@ def estimate_pd(
         raise ValueError(f"runs must be >= 1, got {runs}")
     stream = seed if isinstance(seed, RandomStream) else RandomStream(int(seed))
     point = _detection_point(spec, clutter, target, interference, runs, stream)
-    return PdEstimate(successes=_point_successes(point, workers), runs=runs)
+    return _point_estimates([point], workers)[0]
 
 
 def pfa_regulation_curve(
@@ -381,26 +412,9 @@ def pfa_regulation_curve(
     as well.  ``spec.threshold_multiplier`` is expected to be resolved
     from ``reg.design_pfa`` under homogeneous clutter.
     """
-    n = spec.window_length
-    counts = reg.affected_counts if reg.affected_counts is not None else tuple(range(n + 1))
-    if any(j > n for j in counts):
-        raise ValueError(f"affected cell counts must be <= {n}")
-    boost = db_to_linear(reg.boost_db)
     stream = seed if isinstance(seed, RandomStream) else RandomStream(int(seed))
-    curve = []
-    for j in counts:
-        point = _TrialBatch(
-            stream=stream.substream(*spec.stream_key(), j),
-            trials=reg.runs,
-            window=n,
-            rate=clutter.rate,
-            stat=spec.stat,
-            tau=spec.threshold_multiplier,
-            cut_scale=boost if j > n // 2 else 1.0,
-            cell_scales=_prefix_scales(j, boost, n),
-        )
-        curve.append((j, PdEstimate(successes=_point_successes(point, workers), runs=reg.runs)))
-    return tuple(curve)
+    counts, points = _regulation_points(spec, clutter, reg, stream)
+    return tuple(zip(counts, _point_estimates(points, workers)))
 
 
 def scr_sweep(experiment: ExperimentSpec, *, workers: int = 1) -> tuple[DetectorCurve, ...]:
@@ -412,22 +426,19 @@ def scr_sweep(experiment: ExperimentSpec, *, workers: int = 1) -> tuple[Detector
     equal) curves.
     """
     base = RandomStream(experiment.seed)
-    return tuple(
-        DetectorCurve(
-            detector=det,
-            scr_db=tuple(experiment.scr_grid_db),
-            estimates=_scr_estimates(
-                det,
-                experiment.clutter,
-                experiment.interference,
-                experiment.scr_grid_db,
-                experiment.runs,
-                base,
-                (d_index, *det.stream_key()),
-                workers,
-            ),
-        )
+    grid = tuple(experiment.scr_grid_db)
+    points = [
+        point
         for d_index, det in enumerate(experiment.detectors)
+        for point in _scr_points(
+            det, experiment.clutter, experiment.interference, grid, experiment.runs, base,
+            (d_index, *det.stream_key()),
+        )
+    ]
+    estimates = iter(_point_estimates(points, workers))
+    return tuple(
+        DetectorCurve(det, grid, tuple(next(estimates) for _ in grid))
+        for det in experiment.detectors
     )
 
 

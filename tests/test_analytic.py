@@ -24,7 +24,8 @@ from scipy import integrate, special
 from cfarkit.analytic import (
     SolverSettings,
     ThresholdSolverError,
-    _log_gamma,
+    _gm_log_pfa,
+    _log_gamma1p,
     ca_pd,
     ca_pfa,
     ca_threshold,
@@ -223,8 +224,21 @@ class TestGeometricMean:
             rng.uniform(0.25 / 1024, 1.0, 2000) + 1j * rng.uniform(-0.06, 0.06, 2000),
             np.array([0.25, 1.0, 2.0, 0.5 + 60j, 1e-4 - 0.01j]),
         ])
-        err = np.abs(np.exp(_log_gamma(z) - special.loggamma(z)) - 1.0)
+        err = np.abs(np.exp(_log_gamma1p(z - 1.0) - special.loggamma(z)) - 1.0)
         assert err.max() <= 1e-12
+
+    @pytest.mark.parametrize("n", [128, 1024])
+    @pytest.mark.parametrize("tau", [1e-17, 1e-13])
+    def test_pfa_near_one_against_power_series(self, tau, n):
+        # 1 - Pfa = -sum_m (-tau)^m G(1 + m/N)^N / m!, with N log G(1 + x) from
+        # its Taylor series -euler_gamma x + sum_k zeta(k) (-x)^k / k
+        def n_log_gamma1p(x):
+            return n * (-np.euler_gamma * x + sum(special.zeta(k) * (-x) ** k / k
+                                                  for k in range(2, 40)))
+
+        expect = -sum((-tau) ** m * math.exp(n_log_gamma1p(m / n)) / math.factorial(m)
+                      for m in range(1, 6))
+        assert -math.expm1(_gm_log_pfa(tau, n)) == pytest.approx(expect, rel=1e-12, abs=0.0)
 
     def test_single_cell_identity(self):
         # N = 1: g is one exponential, so Pfa = E[exp(-tau X)] = 1/(1+tau)

@@ -297,3 +297,26 @@ class TestConfigParsing:
     def test_malformed_line_reports_number(self):
         with pytest.raises(ValueError, match="line 2"):
             RunConfig.from_text("detectors = ca\nnot a pair\n", "pd-curve")
+
+
+class TestRunPlan:
+    CONFIGS = {
+        "pd-curve": "detectors = ca, os:15\nscr_db = 0, 10\ninterference_db = 5, 15\n",
+        "regulation": "detectors = ca, os:15\naffected = 0, 9, 16\n",
+    }
+
+    @pytest.mark.parametrize("command", sorted(CONFIGS))
+    def test_one_pool_per_run_and_identical_bytes(self, command, tmp_path, pools_started):
+        cfg = tmp_path / "run.cfg"
+        # 65,536 + 4,464 trials: every point has two unequal blocks
+        cfg.write_text(f"experiment = {command}\nwindow = 16\ndesign_pfa = 1e-2\n"
+                       f"runs = 70000\nseed = 9\n{self.CONFIGS[command]}")
+        outputs = []
+        for workers, pools in ((1, 0), (2, 1), (3, 1)):
+            pools_started.clear()
+            out = tmp_path / f"w{workers}.csv"
+            assert main([command, "--config", str(cfg), "--workers", str(workers),
+                         "--out", str(out)]) == 0
+            assert len(pools_started) == pools, workers
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]

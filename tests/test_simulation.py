@@ -8,9 +8,11 @@ import math
 
 import pytest
 
+from cfarkit import simulation
 from cfarkit.analytic import ca_pd, ca_threshold, gm_threshold, os_threshold
 from cfarkit.detector import DetectorSpec, GeometricMean, Minimum, OrderStatistic, Sum
 from cfarkit.simulation import (
+    BLOCK_TRIALS,
     DetectorCurve,
     ExperimentSpec,
     FixedCells,
@@ -279,3 +281,46 @@ class TestScrSweep:
             ExperimentSpec((), CLUTTER, (), runs=10, seed=1)
         with pytest.raises(ValueError):
             ExperimentSpec((), CLUTTER, (0.0,), runs=0, seed=1)
+
+
+class TestRunPlan:
+    RUNS = BLOCK_TRIALS + 4464  # two unequal blocks per point
+
+    def test_one_pool_per_run_and_identical_results(self, pools_started):
+        ca = DetectorSpec(Sum(), 16, ca_threshold(1e-2, 16))
+        os15 = DetectorSpec(OrderStatistic(15), 16, os_threshold(1e-2, 16, 15))
+        exp = ExperimentSpec((ca, os15), CLUTTER, (0.0, 10.0), self.RUNS, 5,
+                             InterferenceSpec(1, 10.0))
+        reg = RegulationSpec(design_pfa=1e-2, runs=self.RUNS, affected_counts=(0, 9, 16))
+        for call in (
+            lambda workers: scr_sweep(exp, workers=workers),
+            lambda workers: pfa_regulation_curve(os15, CLUTTER, reg, 6, workers=workers),
+        ):
+            results = []
+            for workers, pools in ((1, 0), (2, 1), (3, 1)):
+                pools_started.clear()
+                results.append(call(workers))
+                assert len(pools_started) == pools, workers
+            assert results[0] == results[1] == results[2]
+
+    def test_pool_never_outnumbers_blocks(self, monkeypatch):
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(simulation, "ProcessPoolExecutor", InProcessPool)
+        spec = DetectorSpec(Sum(), 16, ca_threshold(1e-2, 16))
+        est = estimate_pd(spec, CLUTTER, None, None, self.RUNS, 8, workers=10_000)
+        assert sizes == [2]
+        assert est == estimate_pd(spec, CLUTTER, None, None, self.RUNS, 8, workers=1)
