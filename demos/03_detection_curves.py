@@ -2,7 +2,7 @@
 
 Estimates Pd over an SCR grid for cell-averaging and order-statistic
 detectors and overlays the closed-form curves, demonstrating agreement
-within the binomial error bars.  About ten seconds at these run counts.
+within the binomial error bars.  About a second at these run counts.
 """
 
 import numpy as np

@@ -5,7 +5,7 @@ tracks the resultant false-alarm rate of both detectors.  While only
 reference cells are affected the threshold inflates and the Pfa dips; once
 the edge passes the window midpoint the cell under test itself sits in hot
 clutter and the Pfa jumps above design, returning to design at full
-saturation (the CFAR property is power-invariant).  About a minute at
+saturation (the CFAR property is power-invariant).  A few seconds at
 these run counts.
 """
 

@@ -59,7 +59,6 @@ from .stats import (
     exp_cdf,
     linear_to_db,
     sample_exponential,
-    target_rate,
 )
 
 __version__ = "0.1.0"
@@ -72,7 +71,6 @@ __all__ = [
     "sample_exponential",
     "db_to_linear",
     "linear_to_db",
-    "target_rate",
     "boosted_rate",
     "Decision",
     "Sum",

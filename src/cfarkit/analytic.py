@@ -64,21 +64,17 @@ class SolverSettings:
     """Controls for the bracketed threshold solver.
 
     ``relative_tolerance`` bounds the relative false-alarm residual at the
-    returned threshold; ``bracket_hi_initial`` seeds the geometric bracket
-    growth.
+    returned threshold.
     """
 
     relative_tolerance: float = 1e-12
     max_iterations: int = 200
-    bracket_hi_initial: float = 1.0
 
     def __post_init__(self) -> None:
         if not self.relative_tolerance > 0:
             raise ValueError("relative_tolerance must be > 0")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if not self.bracket_hi_initial > 0:
-            raise ValueError("bracket_hi_initial must be > 0")
 
 
 class ThresholdSolverError(RuntimeError):
@@ -288,8 +284,8 @@ def _solve_threshold(log_prob, pfa: float, settings: SolverSettings) -> float:
     """Solve ``log_prob(tau) = log(pfa)`` for ``tau >= 0``, ``0 < pfa <= 1``.
 
     ``log_prob`` is continuous and strictly decreasing from 0 at ``tau = 0``,
-    so ``pfa = 1`` has the root 0 and any other root is bracketed by growing
-    the upper edge geometrically, then polished by regula falsi safeguarded
+    so ``pfa = 1`` has the root 0 and any other root is bracketed by doubling
+    the upper edge from 1, then polished by regula falsi safeguarded
     by bisection until the relative Pfa residual is within
     ``settings.relative_tolerance`` or the bracket collapses to machine
     precision.  Exhausting the iteration budget raises
@@ -304,7 +300,7 @@ def _solve_threshold(log_prob, pfa: float, settings: SolverSettings) -> float:
         return log_prob(tau) - log_pfa
 
     lo, f_lo = 0.0, -log_pfa
-    hi = settings.bracket_hi_initial
+    hi = 1.0
     iterations = 0
     f_hi = residual(hi)
     while f_hi > 0.0:

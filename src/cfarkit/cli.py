@@ -141,7 +141,7 @@ def _pd_curve_rows(cfg: RunConfig) -> list[list]:
     clutter = ClutterModel(cfg.clutter_rate)
     base = RandomStream(cfg.seed)
     rows: list[list] = []
-    pending, points = [], []  # Monte Carlo rows, completed from one call below
+    pending, batches = [], []  # Monte Carlo rows, completed from one call below
     for d_index, req in enumerate(cfg.detectors):
         stat_name, k_text = _stat_column(req)
         if req.kind == "ideal":
@@ -162,14 +162,14 @@ def _pd_curve_rows(cfg: RunConfig) -> list[list]:
             interference = InterferenceSpec(
                 cfg.interference_count, inr_db, cfg.interference_placement
             )
-            points += _scr_points(
+            batches.append(_scr_points(
                 spec, clutter, interference, cfg.scr_db, cfg.runs, base,
                 (d_index, *spec.stream_key(), i_index),
-            )
+            ))
             curve = [[label, stat_name, k_text, scr_db] for scr_db in cfg.scr_db]
             rows += curve
             pending += curve
-    for row, est in zip(pending, _point_estimates(points, cfg.workers)):
+    for row, est in zip(pending, _point_estimates(batches, cfg.workers)):
         row += [est.p_hat, est.standard_error, *est.ci(), est.runs, "montecarlo"]
     return rows
 
@@ -190,15 +190,15 @@ def _regulation_rows(cfg: RunConfig) -> list[list]:
         affected_counts=cfg.affected,
     )
     rows: list[list] = []
-    points = []
+    batches = []
     for d_index, req in enumerate(cfg.detectors):
         if req.kind == "ideal":
             raise ValueError("detector 'ideal': regulation applies to adaptive detectors only")
         spec = _resolve(req, cfg)
-        counts, curve = _regulation_points(spec, clutter, reg, base.substream(d_index))
+        counts, batch = _regulation_points(spec, clutter, reg, base.substream(d_index))
         rows += [[req.label(), j] for j in counts]
-        points += curve
-    for row, est in zip(rows, _point_estimates(points, cfg.workers)):
+        batches.append(batch)
+    for row, est in zip(rows, _point_estimates(batches, cfg.workers)):
         row += [est.p_hat, est.standard_error, cfg.design_pfa, cfg.boost_db, est.runs]
     return rows
 

@@ -143,22 +143,26 @@ def _stat_rows(stat: StatKind, crp: np.ndarray) -> np.ndarray:
     """Clutter statistic of every row of a (rows, N) CRP matrix.
 
     The only implementation of the four statistics; inputs are not checked.
-    The sum is accumulated as two half-bank partial sums and combined,
-    mirroring the two-stage compression of the window hardware.
+    ``crp`` may be overwritten (the order statistic partitions it and the
+    geometric mean takes its log in place), so callers pass a matrix they
+    own; the returned vector is a new array.  The sum is accumulated as
+    two half-bank partial sums and combined, mirroring the two-stage
+    compression of the window hardware.
     """
     n = crp.shape[1]
     if isinstance(stat, Sum):
         half = n // 2
         return crp[:, :half].sum(axis=1) + crp[:, half:].sum(axis=1)
     if isinstance(stat, OrderStatistic):
-        return np.partition(crp, stat.k - 1, axis=1)[:, stat.k - 1]
+        crp.partition(stat.k - 1, axis=1)
+        return crp[:, stat.k - 1].copy()
     if isinstance(stat, Minimum):
         return crp.min(axis=1)
     if isinstance(stat, GeometricMean):
         # a zero cell pushes the mean log to -inf, which maps to the limit
         # value g = 0
         with np.errstate(divide="ignore"):
-            return np.exp(np.log(crp).mean(axis=1))
+            return np.exp(np.log(crp, out=crp).mean(axis=1))
     raise TypeError(f"unknown statistic kind: {stat!r}")
 
 
@@ -180,7 +184,8 @@ def clutter_statistic(stat: StatKind, crp: np.ndarray) -> float:
         raise ValueError(
             f"order-statistic index {stat.k} exceeds CRP length {values.size}"
         )
-    return float(_stat_rows(stat, values[None, :])[0])
+    # np.asarray may alias the caller's array, and the kernel overwrites its input
+    return float(_stat_rows(stat, values[None, :].copy())[0])
 
 
 def decide(z0: float, g: float, tau: float) -> Decision:

@@ -1,16 +1,23 @@
 """Reproducible Monte Carlo engine for detection and false-alarm estimation.
 
-Trials are organised into fixed-size blocks of at most ``BLOCK_TRIALS``
-trials.  Block ``b`` of an estimate draws every sample from the substream
-``stream.substream(b)``, and the per-block success counts are combined by
-exact integer addition, so results are identical for any worker count and
-any scheduling order.  Within a block the draw order is: CRP matrix, then
-CUT vector; nothing else is drawn.
+The unit of work is a curve: a batch of points that share a detector,
+an interference level and a trial count, such as one SCR grid or every
+affected count of a clutter-edge sweep.  A batch's trials are organised
+into fixed-size blocks of at most ``BLOCK_TRIALS`` trials.  Block ``b``
+draws every sample once from the substream ``stream.substream(b)``, and
+every point of the batch is counted on those samples (common random
+numbers), so the rows of one curve are positively correlated, each row
+is still binomial, and Pd never decreases along an SCR grid.  Within a
+block the draw order is: CRP matrix, then CUT vector, each divided by
+the clutter rate; nothing else is drawn.  A batch of one point is a
+single estimate.  Per-block success counts are combined by exact integer
+addition, so results are identical for any worker count and any
+scheduling order.
 
-A run plans first: the public operations (and the CLI) build every Monte
-Carlo point of the run, split each point into its blocks, and map all
-blocks through one process pool of at most one process per block.  With
-one worker, or a single block, the blocks run in the calling process.
+A run plans first: the public operations (and the CLI) build every batch
+of the run, split each batch into its blocks, and map all blocks through
+one process pool of at most one process per block.  With one worker, or
+a single block, the blocks run in the calling process.
 
 Interferer placement is not random within the engine: every statistic is
 permutation invariant, so ``RandomUniform`` placement is realised on CRP
@@ -62,6 +69,7 @@ __all__ = [
 ]
 
 BLOCK_TRIALS = 1 << 16
+_CHUNK_ROWS = 1 << 12  # rows per scaled copy: 1 MB at N = 32
 
 
 @dataclass(frozen=True)
@@ -198,58 +206,75 @@ class DetectorCurve:
 
 @dataclass(frozen=True)
 class _TrialBatch:
-    """Picklable unit of work: identically configured trials from one stream.
+    """Picklable unit of work: trials from one stream, evaluated at several points.
 
-    ``cell_scales`` holds one scale per CRP column, or is empty when no
-    cell is scaled.
+    Each point is a ``(cut_scale, cell_scales)`` pair: every trial's CUT is
+    multiplied by ``cut_scale`` and CRP column ``i`` by ``cell_scales[i]``
+    (no cell is scaled when ``cell_scales`` is empty).  All points share
+    the same draws.
     """
 
     stream: RandomStream
     trials: int
-    window: int
+    spec: DetectorSpec
     rate: float
-    stat: StatKind
-    tau: float
-    cut_scale: float
-    cell_scales: tuple[float, ...]
+    points: tuple[tuple[float, tuple[float, ...]], ...]
 
 
-def _sample_block(batch: _TrialBatch) -> tuple[np.ndarray, np.ndarray]:
-    """Draw the (CRP matrix, CUT vector) for one block, scalings applied."""
+def _batch_successes(batch: _TrialBatch) -> list[int]:
+    """Successes of every point of ``batch`` on one draw of its trials.
+
+    The clutter statistic is computed once per distinct ``cell_scales``.
+    The kernel may overwrite its input, so the last group consumes the draw
+    itself and every other group works on scaled copies of at most
+    ``_CHUNK_ROWS`` rows at a time; each row's statistic depends on that
+    row alone.
+    """
     gen = batch.stream.generator()
-    crp = unit_exponential(gen, (batch.trials, batch.window))
+    crp = unit_exponential(gen, (batch.trials, batch.spec.window_length))
     crp /= batch.rate
     cut = unit_exponential(gen, batch.trials)
     cut /= batch.rate
-    if batch.cut_scale != 1.0:
-        cut *= batch.cut_scale
-    if batch.cell_scales:
-        crp *= np.asarray(batch.cell_scales)
-    return crp, cut
+    groups: dict[tuple[float, ...], list[int]] = {}
+    for index, (_, scales) in enumerate(batch.points):
+        groups.setdefault(scales, []).append(index)
+    stat, last = batch.spec.stat, len(groups) - 1
+    counts = [0] * len(batch.points)
+    for g_index, (scales, members) in enumerate(groups.items()):
+        if g_index == last:
+            if scales:
+                crp *= scales
+            limit = _stat_rows(stat, crp)
+        else:
+            chunks = np.split(crp, range(_CHUNK_ROWS, len(crp), _CHUNK_ROWS))
+            limit = np.concatenate([
+                _stat_rows(stat, rows * scales if scales else rows.copy()) for rows in chunks
+            ])
+        limit *= batch.spec.threshold_multiplier
+        for index in members:
+            cut_scale = batch.points[index][0]
+            counts[index] = int(np.count_nonzero(cut * cut_scale > limit))
+    return counts
 
 
-def _batch_successes(batch: _TrialBatch) -> int:
-    crp, cut = _sample_block(batch)
-    g = _stat_rows(batch.stat, crp)
-    return int(np.count_nonzero(cut > batch.tau * g))
+def _point_estimates(batches: Sequence[_TrialBatch], workers: int) -> list[PdEstimate]:
+    """Estimate every point of every batch of a run, in order.
 
-
-def _point_estimates(points: Sequence[_TrialBatch], workers: int) -> list[PdEstimate]:
-    """Estimate every point of a run, each from the successes summed over its blocks.
-
-    Block ``b`` of a point holds at most ``BLOCK_TRIALS`` of its trials and
-    draws them from ``point.stream.substream(b)``.  The blocks of all points
-    are mapped through one pool of at most one process per block; integer
-    addition makes each sum independent of the order in which workers finish.
+    Block ``b`` of a batch holds at most ``BLOCK_TRIALS`` of its trials and
+    draws them once from ``batch.stream.substream(b)``; every point of the
+    batch is evaluated on that draw, so the points of one batch (one curve)
+    share their random numbers.  The blocks of all batches are mapped
+    through one pool of at most one process per block; integer addition
+    makes each point's sum independent of the order in which workers finish.
     """
     owners, blocks = [], []
-    for index, point in enumerate(points):
-        for b in range((point.trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS):
+    for index, batch in enumerate(batches):
+        for b in range((batch.trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS if batch.points else 0):
             owners.append(index)
             blocks.append(replace(
-                point,
-                stream=point.stream.substream(b),
-                trials=min(BLOCK_TRIALS, point.trials - b * BLOCK_TRIALS),
+                batch,
+                stream=batch.stream.substream(b),
+                trials=min(BLOCK_TRIALS, batch.trials - b * BLOCK_TRIALS),
             ))
     processes = min(workers, len(blocks))
     if processes <= 1:
@@ -257,10 +282,14 @@ def _point_estimates(points: Sequence[_TrialBatch], workers: int) -> list[PdEsti
     else:
         with ProcessPoolExecutor(max_workers=processes) as pool:
             counts = list(pool.map(_batch_successes, blocks))
-    totals = [0] * len(points)
-    for index, count in zip(owners, counts):
-        totals[index] += count
-    return [PdEstimate(hits, point.trials) for hits, point in zip(totals, points)]
+    totals = [[0] * len(batch.points) for batch in batches]
+    for index, block_counts in zip(owners, counts):
+        totals[index] = [t + c for t, c in zip(totals[index], block_counts)]
+    return [
+        PdEstimate(hits, batch.trials)
+        for batch, point_hits in zip(batches, totals)
+        for hits in point_hits
+    ]
 
 
 def _prefix_scales(count: int, scale: float, window: int) -> tuple[float, ...]:
@@ -285,25 +314,18 @@ def _interference_scales(interference: InterferenceSpec | None, window: int) -> 
     return _prefix_scales(interference.count, factor, window)
 
 
-def _detection_point(
+def _detection_batch(
     spec: DetectorSpec,
     clutter: ClutterModel,
-    target: TargetContext | None,
+    targets: Sequence[TargetContext | None],
     interference: InterferenceSpec | None,
     trials: int,
     stream: RandomStream,
 ) -> _TrialBatch:
-    """``trials`` detection trials of ``spec``; H0 when ``target`` is None."""
-    return _TrialBatch(
-        stream=stream,
-        trials=trials,
-        window=spec.window_length,
-        rate=clutter.rate,
-        stat=spec.stat,
-        tau=spec.threshold_multiplier,
-        cut_scale=1.0 + target.scr_linear if target is not None else 1.0,
-        cell_scales=_interference_scales(interference, spec.window_length),
-    )
+    """``trials`` detection trials of ``spec`` at each target; H0 where it is None."""
+    scales = _interference_scales(interference, spec.window_length)
+    cut_scales = (1.0 if target is None else 1.0 + target.scr_linear for target in targets)
+    return _TrialBatch(stream, trials, spec, clutter.rate, tuple((c, scales) for c in cut_scales))
 
 
 def _scr_points(
@@ -314,39 +336,28 @@ def _scr_points(
     runs: int,
     base: RandomStream,
     key: tuple[int, ...],
-) -> list[_TrialBatch]:
-    """One detector's points over an SCR grid; point ``g`` draws from ``base.substream(*key, g)``."""
-    return [
-        _detection_point(
-            spec, clutter, TargetContext.from_db(scr_db), interference, runs,
-            base.substream(*key, g_index),
-        )
-        for g_index, scr_db in enumerate(scr_grid_db)
-    ]
+) -> _TrialBatch:
+    """One detector's SCR grid as one batch, drawing from ``base.substream(*key)``."""
+    targets = [TargetContext.from_db(scr_db) for scr_db in scr_grid_db]
+    return _detection_batch(spec, clutter, targets, interference, runs, base.substream(*key))
 
 
 def _regulation_points(
     spec: DetectorSpec, clutter: ClutterModel, reg: RegulationSpec, stream: RandomStream
-) -> tuple[tuple[int, ...], list[_TrialBatch]]:
-    """The affected counts ``j`` of a clutter-edge sweep and one point per count."""
+) -> tuple[tuple[int, ...], _TrialBatch]:
+    """The affected counts ``j`` of a clutter-edge sweep and one batch with a point per count.
+
+    The batch draws from ``stream.substream(*spec.stream_key())``.
+    """
     n = spec.window_length
     counts = reg.affected_counts if reg.affected_counts is not None else tuple(range(n + 1))
     if any(j > n for j in counts):
         raise ValueError(f"affected cell counts must be <= {n}")
     boost = db_to_linear(reg.boost_db)
-    return counts, [
-        _TrialBatch(
-            stream=stream.substream(*spec.stream_key(), j),
-            trials=reg.runs,
-            window=n,
-            rate=clutter.rate,
-            stat=spec.stat,
-            tau=spec.threshold_multiplier,
-            cut_scale=boost if j > n // 2 else 1.0,
-            cell_scales=_prefix_scales(j, boost, n),
-        )
-        for j in counts
-    ]
+    points = tuple((boost if j > n // 2 else 1.0, _prefix_scales(j, boost, n)) for j in counts)
+    return counts, _TrialBatch(
+        stream.substream(*spec.stream_key()), reg.runs, spec, clutter.rate, points
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +380,8 @@ def run_trial(
     ``run_trial(..., s.substream(0))`` is the outcome of
     ``estimate_pd(..., runs=1, seed=s)``.
     """
-    point = _detection_point(spec, clutter, target, interference, 1, stream)
-    return _batch_successes(point) == 1
+    batch = _detection_batch(spec, clutter, [target], interference, 1, stream)
+    return _batch_successes(batch) == [1]
 
 
 def estimate_pd(
@@ -392,8 +403,8 @@ def estimate_pd(
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     stream = seed if isinstance(seed, RandomStream) else RandomStream(int(seed))
-    point = _detection_point(spec, clutter, target, interference, runs, stream)
-    return _point_estimates([point], workers)[0]
+    batch = _detection_batch(spec, clutter, [target], interference, runs, stream)
+    return _point_estimates([batch], workers)[0]
 
 
 def pfa_regulation_curve(
@@ -409,33 +420,36 @@ def pfa_regulation_curve(
     For each affected count ``j`` the first ``j`` CRP cells (leading bank
     first, far cell inward) draw clutter boosted by ``reg.boost_db``; once
     the edge passes the window midpoint (``j > N/2``) the CUT is boosted
-    as well.  ``spec.threshold_multiplier`` is expected to be resolved
-    from ``reg.design_pfa`` under homogeneous clutter.
+    as well.  Every count is evaluated on the same draws, so the rows are
+    positively correlated; each keeps its binomial standard error.
+    ``spec.threshold_multiplier`` is expected to be resolved from
+    ``reg.design_pfa`` under homogeneous clutter.
     """
     stream = seed if isinstance(seed, RandomStream) else RandomStream(int(seed))
-    counts, points = _regulation_points(spec, clutter, reg, stream)
-    return tuple(zip(counts, _point_estimates(points, workers)))
+    counts, batch = _regulation_points(spec, clutter, reg, stream)
+    return tuple(zip(counts, _point_estimates([batch], workers)))
 
 
 def scr_sweep(experiment: ExperimentSpec, *, workers: int = 1) -> tuple[DetectorCurve, ...]:
     """Estimate Pd curves for every detector over the experiment's SCR grid.
 
-    Substreams are keyed by detector position, detector identity, and grid
-    index, so rearranging or duplicating detectors never silently reuses
-    samples: duplicated specs produce statistically equal (not bitwise
-    equal) curves.
+    Each detector's curve is one batch: its substream is keyed by detector
+    position and detector identity, and every grid point is counted on the
+    same draws, so the points of a curve are correlated and Pd never
+    decreases in SCR.  Rearranging or duplicating detectors never silently
+    reuses samples: duplicated specs produce statistically equal (not
+    bitwise equal) curves.
     """
     base = RandomStream(experiment.seed)
     grid = tuple(experiment.scr_grid_db)
-    points = [
-        point
-        for d_index, det in enumerate(experiment.detectors)
-        for point in _scr_points(
+    batches = [
+        _scr_points(
             det, experiment.clutter, experiment.interference, grid, experiment.runs, base,
             (d_index, *det.stream_key()),
         )
+        for d_index, det in enumerate(experiment.detectors)
     ]
-    estimates = iter(_point_estimates(points, workers))
+    estimates = iter(_point_estimates(batches, workers))
     return tuple(
         DetectorCurve(det, grid, tuple(next(estimates) for _ in grid))
         for det in experiment.detectors

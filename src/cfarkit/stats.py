@@ -11,7 +11,10 @@ Randomness is organised around :class:`RandomStream`, a value type naming
 one substream of a counter-based generator (Philox).  Identical
 ``(seed, stream_id)`` pairs reproduce identical samples on every platform;
 distinct stream ids are statistically independent, so simulation code can
-hand substreams to parallel workers without coordinating.
+hand substreams to parallel workers without coordinating.  The simulation
+engine gives each curve (a detector's SCR grid, or a clutter-edge sweep)
+one stream and each block of trials one substream of it; every point of
+the curve reuses that block's samples.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ __all__ = [
     "sample_exponential",
     "db_to_linear",
     "linear_to_db",
-    "target_rate",
     "boosted_rate",
 ]
 
@@ -70,14 +72,6 @@ class ClutterModel:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.rate) and self.rate > 0):
             raise ValueError(f"clutter rate must be finite and > 0, got {self.rate!r}")
-
-    @property
-    def mean_intensity(self) -> float:
-        return 1.0 / self.rate
-
-    @property
-    def mean_square(self) -> float:
-        return 2.0 / (self.rate * self.rate)
 
 
 @dataclass(frozen=True)
@@ -168,15 +162,6 @@ def linear_to_db(x: float) -> float:
     if not (math.isfinite(x) and x > 0):
         raise ValueError(f"linear ratio must be finite and > 0, got {x!r}")
     return 10.0 * math.log10(x)
-
-
-def target_rate(model: ClutterModel, target: TargetContext) -> float:
-    """Exponential rate of the cell under test when a target is present.
-
-    A Swerling I target at SCR ``S`` in clutter of rate ``lambda`` makes
-    the cell intensity exponential with rate ``lambda / (1 + S)``.
-    """
-    return model.rate / (1.0 + target.scr_linear)
 
 
 def boosted_rate(model: ClutterModel, boost_db: float) -> float:

@@ -132,6 +132,21 @@ class TestDetectorSpec:
         assert len({a.stream_key(), b.stream_key(), c.stream_key()}) == 3
 
 
+@pytest.mark.parametrize(
+    "stat", [Sum(), OrderStatistic(5), Minimum(), GeometricMean()], ids=["sum", "os5", "min", "gm"]
+)
+def test_caller_arrays_left_unchanged(stat):
+    # the statistic kernel works in place; the public entry points hand it copies
+    rng = np.random.default_rng(7)
+    crp = rng.exponential(size=8)
+    profile = rng.exponential(size=64)
+    crp_before, profile_before = crp.copy(), profile.copy()
+    clutter_statistic(stat, crp)
+    slide(profile, DetectorSpec(stat, 8, 2.0, guard_cells=2))
+    np.testing.assert_array_equal(crp, crp_before)
+    np.testing.assert_array_equal(profile, profile_before)
+
+
 class TestSlide:
     def test_constant_profile_all_h0(self):
         spec = DetectorSpec(Sum(), 4, 1.0, guard_cells=4)

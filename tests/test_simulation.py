@@ -5,7 +5,9 @@ oracles from the analytic module, keeping false failures out of the suite.
 """
 
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from cfarkit import simulation
@@ -26,7 +28,7 @@ from cfarkit.simulation import (
     run_trial,
     scr_sweep,
 )
-from cfarkit.stats import ClutterModel, RandomStream, TargetContext
+from cfarkit.stats import ClutterModel, RandomStream, TargetContext, db_to_linear
 
 CLUTTER = ClutterModel(1.0)
 
@@ -34,6 +36,41 @@ CLUTTER = ClutterModel(1.0)
 def within(est: PdEstimate, expect: float, z: float = 4.0) -> bool:
     se = max(est.standard_error, math.sqrt(expect * (1.0 - expect) / est.runs))
     return abs(est.p_hat - expect) <= z * se
+
+
+def reference_block(spec, cut_scale, cell_scales, trials, stream, rate=1.0) -> int:
+    """Successes of one block drawn as documented: CRP, then CUT, each over ``rate``."""
+    n, stat = spec.window_length, spec.stat
+    gen = stream.generator()
+    crp = -np.log1p(-gen.random((trials, n))) / rate * np.asarray(cell_scales)
+    cut = -np.log1p(-gen.random(trials)) / rate * cut_scale
+    if isinstance(stat, Sum):
+        g = crp[:, : n // 2].sum(axis=1) + crp[:, n // 2 :].sum(axis=1)
+    elif isinstance(stat, OrderStatistic):
+        g = np.sort(crp, axis=1)[:, stat.k - 1]
+    elif isinstance(stat, Minimum):
+        g = crp.min(axis=1)
+    else:
+        g = np.exp(np.log(crp).mean(axis=1))
+    return int(np.count_nonzero(cut > spec.threshold_multiplier * g))
+
+
+def reference_successes(spec, cut_scale, cell_scales, runs, stream, rate=1.0) -> int:
+    """Successes summed over blocks; block ``b`` draws from ``stream.substream(b)``."""
+    return sum(
+        reference_block(spec, cut_scale, cell_scales, min(BLOCK_TRIALS, runs - start),
+                        stream.substream(b), rate)
+        for b, start in enumerate(range(0, runs, BLOCK_TRIALS))
+    )
+
+
+STATS_16 = (
+    DetectorSpec(Sum(), 16, ca_threshold(1e-2, 16)),
+    DetectorSpec(OrderStatistic(13), 16, os_threshold(1e-2, 16, 13)),
+    DetectorSpec(Minimum(), 16, os_threshold(1e-2, 16, 1)),
+    DetectorSpec(GeometricMean(), 16, gm_threshold(1e-2, 16)),
+)
+STAT_IDS = ("sum", "os13", "min", "gm")
 
 
 class TestRunTrial:
@@ -68,6 +105,31 @@ class TestRunTrial:
                 assert trial is (est.successes == 1)
                 outcomes.append(trial)
         assert set(outcomes) == {True, False}
+
+
+class TestDrawOrder:
+    RUNS = BLOCK_TRIALS + 4464  # two unequal blocks
+
+    @pytest.mark.parametrize("spec", STATS_16, ids=STAT_IDS)
+    def test_estimate_pd_and_run_trial_match_reference(self, spec):
+        target = TargetContext.from_db(3.0)
+        inter = InterferenceSpec(2, 10.0, FixedCells((1, 5)))
+        scales = tuple(11.0 if i in (1, 5) else 1.0 for i in range(16))
+        clutter = ClutterModel(2.0)
+        stream = RandomStream(17, 3)
+        for tgt, cut_scale in ((None, 1.0), (target, 1.0 + target.scr_linear)):
+            est = estimate_pd(spec, clutter, tgt, inter, self.RUNS, stream)
+            assert est.successes == reference_successes(
+                spec, cut_scale, scales, self.RUNS, stream, rate=2.0
+            )
+        outcomes = [
+            run_trial(spec, clutter, target, inter, RandomStream(17, i)) for i in range(40)
+        ]
+        assert outcomes == [
+            reference_block(spec, 1.0 + target.scr_linear, scales, 1, RandomStream(17, i), 2.0)
+            == 1
+            for i in range(40)
+        ]
 
 
 class TestPdEstimate:
@@ -219,6 +281,11 @@ class TestRegulation:
         with pytest.raises(ValueError):
             pfa_regulation_curve(spec, CLUTTER, reg, 1)
 
+    def test_empty_affected_counts_draw_nothing(self, monkeypatch):
+        monkeypatch.setattr(simulation, "_batch_successes", None)  # any block would fail
+        reg = RegulationSpec(design_pfa=1e-2, runs=10**7, affected_counts=())
+        assert pfa_regulation_curve(DetectorSpec(Sum(), 16, 1.0), CLUTTER, reg, 1) == ()
+
     def test_worker_count_never_changes_the_curve(self):
         tau = os_threshold(1e-2, 16, 15)
         spec = DetectorSpec(OrderStatistic(15), 16, tau)
@@ -257,7 +324,7 @@ class TestScrSweep:
         first, second = scr_sweep(self._experiment([spec, spec], runs=150_000))
         # distinct positions derive distinct substreams even for equal specs
         base = RandomStream(71)
-        assert base.substream(0, *spec.stream_key(), 0) != base.substream(1, *spec.stream_key(), 0)
+        assert base.substream(0, *spec.stream_key()) != base.substream(1, *spec.stream_key())
         for (_, a), (_, b) in zip(first.points(), second.points()):
             joint = math.hypot(a.standard_error, b.standard_error)
             assert abs(a.p_hat - b.p_hat) <= 4.0 * joint
@@ -281,6 +348,77 @@ class TestScrSweep:
             ExperimentSpec((), CLUTTER, (), runs=10, seed=1)
         with pytest.raises(ValueError):
             ExperimentSpec((), CLUTTER, (0.0,), runs=0, seed=1)
+
+
+class TestCommonRandomNumbers:
+    """The points of one curve are evaluated on one draw per block."""
+
+    RUNS = BLOCK_TRIALS + 4464
+
+    def test_scr_rows_equal_one_point_evaluations(self):
+        inter = InterferenceSpec(2, 15.0)
+        grid = (0.0, 5.0, 10.0, 20.0)
+        curves = scr_sweep(ExperimentSpec(STATS_16, CLUTTER, grid, self.RUNS, 81, inter))
+        scales = (1.0 + db_to_linear(15.0),) * 2 + (1.0,) * 14
+        for d_index, (spec, curve) in enumerate(zip(STATS_16, curves)):
+            stream = RandomStream(81).substream(d_index, *spec.stream_key())
+            for scr_db, est in curve.points():
+                one = reference_successes(spec, 1.0 + db_to_linear(scr_db), scales,
+                                          self.RUNS, stream)
+                assert est.successes == one, (spec.stat, scr_db)
+                assert est == estimate_pd(spec, CLUTTER, TargetContext.from_db(scr_db),
+                                          inter, self.RUNS, stream)
+
+    @pytest.mark.parametrize("spec", STATS_16, ids=STAT_IDS)
+    def test_regulation_rows_equal_one_point_evaluations(self, spec):
+        reg = RegulationSpec(1e-2, self.RUNS, 10.0, affected_counts=(0, 3, 8, 9, 16))
+        boost = db_to_linear(10.0)
+        stream = RandomStream(82).substream(*spec.stream_key())
+        for j, est in pfa_regulation_curve(spec, CLUTTER, reg, 82):
+            scales = (boost,) * j + (1.0,) * (16 - j)
+            one = reference_successes(spec, boost if j > 8 else 1.0, scales, self.RUNS, stream)
+            assert est.successes == one, j
+
+    def test_ca_rows_match_exact_heterogeneous_pd(self):
+        # CA with CUT scale c0 and cell scales c_i: Pd = prod_i (1 + u c_i)^-1, u = tau/c0
+        n = 32
+        tau = ca_threshold(1e-2, n)
+        spec = DetectorSpec(Sum(), n, tau)
+        inr = db_to_linear(10.0)
+        exp = ExperimentSpec((spec,), CLUTTER, tuple(range(0, 31, 3)), 200_000, 83,
+                             InterferenceSpec(2, 10.0))
+        (curve,) = scr_sweep(exp)
+        for scr_db, est in curve.points():
+            u = tau / (1.0 + db_to_linear(scr_db))
+            expect = (1.0 + u * (1.0 + inr)) ** -2 * (1.0 + u) ** -(n - 2)
+            assert within(est, expect), (scr_db, est.p_hat, expect)
+        boost = db_to_linear(10.0)
+        reg = RegulationSpec(1e-2, 200_000, 10.0)
+        for j, est in pfa_regulation_curve(spec, CLUTTER, reg, 84):
+            u = tau / (boost if j > n // 2 else 1.0)
+            expect = (1.0 + u * boost) ** -j * (1.0 + u) ** -(n - j)
+            assert within(est, expect), (j, est.p_hat, expect)
+
+    @pytest.mark.parametrize("inter", [None, InterferenceSpec(2, 15.0)], ids=["clean", "int"])
+    def test_successes_nondecreasing_in_scr(self, inter):
+        grid = (-5.0, 0.0, 0.5, 1.0, 3.0, 6.0, 10.0, 20.0)
+        for curve in scr_sweep(ExperimentSpec(STATS_16, CLUTTER, grid, 30_000, 86, inter)):
+            hits = [est.successes for est in curve.estimates]
+            assert hits == sorted(hits), curve.detector.stat
+
+    @pytest.mark.parametrize("spec", STATS_16, ids=STAT_IDS)
+    def test_block_holds_one_crp_matrix_and_row_chunks(self, spec):
+        reg = RegulationSpec(1e-2, BLOCK_TRIALS, 10.0)
+        _, batch = simulation._regulation_points(spec, CLUTTER, reg, RandomStream(87))
+        matrix = BLOCK_TRIALS * spec.window_length * 8
+        tracemalloc.start()
+        try:
+            simulation._batch_successes(batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the draw, plus scaled copies of at most 4,096 rows (1/16 of the block)
+        assert peak < 1.5 * matrix, peak / matrix
 
 
 class TestRunPlan:

@@ -20,7 +20,6 @@ from cfarkit.stats import (
     exp_cdf,
     linear_to_db,
     sample_exponential,
-    target_rate,
 )
 
 
@@ -68,16 +67,6 @@ class TestDbConversion:
 
 
 class TestRates:
-    def test_target_rate_no_target(self):
-        assert target_rate(ClutterModel(1.0), TargetContext(0.0)) == 1.0
-
-    def test_target_rate_substitution(self):
-        assert target_rate(ClutterModel(2.0), TargetContext(9.0)) == pytest.approx(0.2, rel=1e-14)
-
-    def test_target_rate_ten_db(self):
-        target = TargetContext.from_db(10.0)
-        assert target_rate(ClutterModel(1.0), target) == pytest.approx(1.0 / 11.0, rel=1e-12)
-
     @pytest.mark.parametrize("rate,db,expect", [(1.0, 0.0, 1.0), (1.0, 10.0, 0.1), (2.0, 20.0, 0.02)])
     def test_boosted_rate(self, rate, db, expect):
         assert boosted_rate(ClutterModel(rate), db) == pytest.approx(expect, rel=1e-12)
@@ -92,7 +81,7 @@ class TestRates:
         # mean of boosted clutter is 10^(x/10) times the unboosted mean
         model = ClutterModel(rate)
         boosted_mean = 1.0 / boosted_rate(model, x)
-        assert boosted_mean == pytest.approx(db_to_linear(x) * model.mean_intensity, rel=1e-12)
+        assert boosted_mean == pytest.approx(db_to_linear(x) / model.rate, rel=1e-12)
 
     def test_model_validation(self):
         with pytest.raises(ValueError):
@@ -101,10 +90,6 @@ class TestRates:
             ClutterModel(math.inf)
         with pytest.raises(ValueError):
             TargetContext(-1.0)
-
-    def test_clutter_power_is_mean_square(self):
-        model = ClutterModel(2.0)
-        assert model.mean_square == pytest.approx(0.5, rel=1e-14)
 
 
 class TestRandomStream:
