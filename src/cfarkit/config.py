@@ -253,7 +253,10 @@ class RunConfig:
             if "boost_db" in raw:
                 kwargs["boost_db"] = _parse_float(raw["boost_db"], "boost_db")
             if "affected" in raw:
-                kwargs["affected"] = tuple(
-                    int(j) for j in _parse_grid(raw["affected"], "affected")
-                )
+                counts = _parse_grid(raw["affected"], "affected")
+                if not all(j.is_integer() for j in counts):
+                    raise ValueError(
+                        f"affected: expected integer cell counts, got {raw['affected']!r}"
+                    )
+                kwargs["affected"] = tuple(int(j) for j in counts)
         return cls(**kwargs)

@@ -10,9 +10,12 @@ numbers), so the rows of one curve are positively correlated, each row
 is still binomial, and Pd never decreases along an SCR grid.  Within a
 block the draw order is: CRP matrix, then CUT vector, each divided by
 the clutter rate; nothing else is drawn.  A batch of one point is a
-single estimate.  Per-block success counts are combined by exact integer
-addition, so results are identical for any worker count and any
-scheduling order.
+single estimate.  A batch with one cell scaling (an SCR grid, an
+estimate) computes the clutter statistic once per block; a clutter-edge
+batch evaluates every affected count in one pass over each block, from
+running sums and counts along the cells.  Per-block success counts are
+combined by exact integer addition, so results are identical for any
+worker count and any scheduling order.
 
 A run plans first: the public operations (and the CLI) build every batch
 of the run, split each batch into its blocks, and map all blocks through
@@ -69,7 +72,7 @@ __all__ = [
 ]
 
 BLOCK_TRIALS = 1 << 16
-_CHUNK_ROWS = 1 << 12  # rows per scaled copy: 1 MB at N = 32
+_CHUNK_ROWS = 1 << 10  # rows per step of the edge pass: 256 kB of cells at N = 32
 
 
 @dataclass(frozen=True)
@@ -205,56 +208,111 @@ class DetectorCurve:
 
 
 @dataclass(frozen=True)
+class _Edge:
+    """A clutter edge: at point ``p`` CRP cells ``0..counts[p]-1`` are scaled by ``boost``."""
+
+    boost: float
+    counts: tuple[int, ...]
+
+
+@dataclass(frozen=True)
 class _TrialBatch:
     """Picklable unit of work: trials from one stream, evaluated at several points.
 
-    Each point is a ``(cut_scale, cell_scales)`` pair: every trial's CUT is
-    multiplied by ``cut_scale`` and CRP column ``i`` by ``cell_scales[i]``
-    (no cell is scaled when ``cell_scales`` is empty).  All points share
-    the same draws.
+    Point ``p`` multiplies every trial's CUT by ``cut_scales[p]``.  The CRP
+    is scaled either alike at every point, column ``i`` by ``cells[i]`` (no
+    cell when ``cells`` is empty), or by an edge that scales a different
+    number of leading cells at each point.  All points share the same draws.
     """
 
     stream: RandomStream
     trials: int
     spec: DetectorSpec
     rate: float
-    points: tuple[tuple[float, tuple[float, ...]], ...]
+    cut_scales: tuple[float, ...]
+    cells: tuple[float, ...] | _Edge = ()
 
 
 def _batch_successes(batch: _TrialBatch) -> list[int]:
     """Successes of every point of ``batch`` on one draw of its trials.
 
-    The clutter statistic is computed once per distinct ``cell_scales``.
-    The kernel may overwrite its input, so the last group consumes the draw
-    itself and every other group works on scaled copies of at most
-    ``_CHUNK_ROWS`` rows at a time; each row's statistic depends on that
-    row alone.
+    With one cell scaling the clutter statistic is computed once, in place
+    on the draw; an edge batch goes through :func:`_edge_successes`.
     """
     gen = batch.stream.generator()
     crp = unit_exponential(gen, (batch.trials, batch.spec.window_length))
     crp /= batch.rate
     cut = unit_exponential(gen, batch.trials)
     cut /= batch.rate
-    groups: dict[tuple[float, ...], list[int]] = {}
-    for index, (_, scales) in enumerate(batch.points):
-        groups.setdefault(scales, []).append(index)
-    stat, last = batch.spec.stat, len(groups) - 1
-    counts = [0] * len(batch.points)
-    for g_index, (scales, members) in enumerate(groups.items()):
-        if g_index == last:
-            if scales:
-                crp *= scales
-            limit = _stat_rows(stat, crp)
-        else:
-            chunks = np.split(crp, range(_CHUNK_ROWS, len(crp), _CHUNK_ROWS))
-            limit = np.concatenate([
-                _stat_rows(stat, rows * scales if scales else rows.copy()) for rows in chunks
-            ])
-        limit *= batch.spec.threshold_multiplier
-        for index in members:
-            cut_scale = batch.points[index][0]
-            counts[index] = int(np.count_nonzero(cut * cut_scale > limit))
-    return counts
+    if isinstance(batch.cells, _Edge):
+        return _edge_successes(batch, crp, cut)
+    if batch.cells:
+        crp *= batch.cells
+    limit = _stat_rows(batch.spec.stat, crp)
+    limit *= batch.spec.threshold_multiplier
+    return [int(np.count_nonzero(cut * c > limit)) for c in batch.cut_scales]
+
+
+def _edge_successes(batch: _TrialBatch, crp: np.ndarray, cut: np.ndarray) -> list[int]:
+    """Successes at every point of a clutter edge, in one pass over the draw.
+
+    Point ``p`` boosts the first ``j = counts[p]`` cells by ``B``.  The
+    draw is processed ``_CHUNK_ROWS`` rows at a time and is overwritten.
+
+    - Sum: ``B`` times the prefix sum of the first ``j`` cells plus the
+      suffix sum of the rest.
+    - Geometric mean: ``exp((sum(log x) + j log B) / N)``.
+    - Order statistic ``k`` (the minimum is ``k = 1``): rounding ``tau * y``
+      is monotone in ``y``, so ``tau * y_(k) < z`` exactly when at least
+      ``k`` cells have ``tau * y_i < z``.  With ``z`` the scaled CUT, that
+      count is the cells below ``z`` unboosted, less those among the first
+      ``j`` that the boost lifts to ``z`` or above.
+
+    Order-statistic rows equal a per-point evaluation bit for bit.  Sum and
+    geometric-mean rows are the per-point statistics up to rounding, so
+    they can differ from it only by a trial whose scaled CUT lies within a
+    few ulps of the threshold.
+    """
+    stat, tau, boost = batch.spec.stat, batch.spec.threshold_multiplier, batch.cells.boost
+    counts = np.asarray(batch.cells.counts, dtype=np.intp)
+    scales = np.asarray(batch.cut_scales)
+    groups = [scales == c for c in np.unique(scales)]  # points sharing a CUT scale
+    hits = np.zeros(len(counts), dtype=np.int64)
+    for start in range(0, len(cut), _CHUNK_ROWS):
+        x, z = crp[start : start + _CHUNK_ROWS], cut[start : start + _CHUNK_ROWS]
+        if isinstance(stat, (OrderStatistic, Minimum)):
+            k = stat.k if isinstance(stat, OrderStatistic) else 1
+            with np.errstate(over="ignore"):  # a cell lifted to inf is never below z
+                lifted = x[:, : counts.max()] * boost
+                lifted *= tau
+            x *= tau
+            for members in groups:
+                reach = counts[members].max()
+                zc = (z * scales[members][0])[:, None]
+                below = x < zc
+                spare = np.count_nonzero(below, axis=1) - k
+                lost = np.zeros((len(x), reach + 1), dtype=np.int32)
+                np.cumsum(
+                    below[:, :reach] & ~(lifted[:, :reach] < zc), axis=1, out=lost[:, 1:]
+                )
+                hits[members] += np.count_nonzero(
+                    lost[:, counts[members]] <= spare[:, None], axis=0
+                )
+            continue
+        if isinstance(stat, Sum):
+            prefix = np.zeros((len(x), x.shape[1] + 1))
+            np.cumsum(x, axis=1, out=prefix[:, 1:])
+            head = prefix[:, counts]
+            limit = prefix[:, -1:] - head
+            head *= boost
+            limit += head
+        else:  # geometric mean; a zero cell sends the log sum to -inf and g to 0
+            with np.errstate(divide="ignore"):
+                logs = np.log(x, out=x).sum(axis=1)
+            limit = np.exp((logs[:, None] + counts * math.log(boost)) / x.shape[1])
+        limit *= tau
+        hits += np.count_nonzero(z[:, None] * scales > limit, axis=0)
+    return hits.tolist()
 
 
 def _point_estimates(batches: Sequence[_TrialBatch], workers: int) -> list[PdEstimate]:
@@ -269,7 +327,8 @@ def _point_estimates(batches: Sequence[_TrialBatch], workers: int) -> list[PdEst
     """
     owners, blocks = [], []
     for index, batch in enumerate(batches):
-        for b in range((batch.trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS if batch.points else 0):
+        n_blocks = (batch.trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS if batch.cut_scales else 0
+        for b in range(n_blocks):
             owners.append(index)
             blocks.append(replace(
                 batch,
@@ -282,7 +341,7 @@ def _point_estimates(batches: Sequence[_TrialBatch], workers: int) -> list[PdEst
     else:
         with ProcessPoolExecutor(max_workers=processes) as pool:
             counts = list(pool.map(_batch_successes, blocks))
-    totals = [[0] * len(batch.points) for batch in batches]
+    totals = [[0] * len(batch.cut_scales) for batch in batches]
     for index, block_counts in zip(owners, counts):
         totals[index] = [t + c for t, c in zip(totals[index], block_counts)]
     return [
@@ -290,11 +349,6 @@ def _point_estimates(batches: Sequence[_TrialBatch], workers: int) -> list[PdEst
         for batch, point_hits in zip(batches, totals)
         for hits in point_hits
     ]
-
-
-def _prefix_scales(count: int, scale: float, window: int) -> tuple[float, ...]:
-    """Per-column scales that scale CRP cells ``0..count-1`` by ``scale``."""
-    return (scale,) * count + (1.0,) * (window - count) if count else ()
 
 
 def _interference_scales(interference: InterferenceSpec | None, window: int) -> tuple[float, ...]:
@@ -311,7 +365,7 @@ def _interference_scales(interference: InterferenceSpec | None, window: int) -> 
         if any(i >= window for i in cells):
             raise ValueError(f"fixed interference cells {cells} outside 0..{window - 1}")
         return tuple(factor if i in cells else 1.0 for i in range(window))
-    return _prefix_scales(interference.count, factor, window)
+    return (factor,) * interference.count + (1.0,) * (window - interference.count)
 
 
 def _detection_batch(
@@ -323,9 +377,11 @@ def _detection_batch(
     stream: RandomStream,
 ) -> _TrialBatch:
     """``trials`` detection trials of ``spec`` at each target; H0 where it is None."""
-    scales = _interference_scales(interference, spec.window_length)
-    cut_scales = (1.0 if target is None else 1.0 + target.scr_linear for target in targets)
-    return _TrialBatch(stream, trials, spec, clutter.rate, tuple((c, scales) for c in cut_scales))
+    cut_scales = tuple(1.0 if target is None else 1.0 + target.scr_linear for target in targets)
+    return _TrialBatch(
+        stream, trials, spec, clutter.rate, cut_scales,
+        _interference_scales(interference, spec.window_length),
+    )
 
 
 def _scr_points(
@@ -345,18 +401,20 @@ def _scr_points(
 def _regulation_points(
     spec: DetectorSpec, clutter: ClutterModel, reg: RegulationSpec, stream: RandomStream
 ) -> tuple[tuple[int, ...], _TrialBatch]:
-    """The affected counts ``j`` of a clutter-edge sweep and one batch with a point per count.
+    """The affected counts ``j`` of a clutter-edge sweep and one edge batch with a point per count.
 
-    The batch draws from ``stream.substream(*spec.stream_key())``.
+    The batch draws from ``stream.substream(*spec.stream_key())``; past the
+    window midpoint (``j > N/2``) the CUT is boosted as well.
     """
     n = spec.window_length
     counts = reg.affected_counts if reg.affected_counts is not None else tuple(range(n + 1))
     if any(j > n for j in counts):
         raise ValueError(f"affected cell counts must be <= {n}")
     boost = db_to_linear(reg.boost_db)
-    points = tuple((boost if j > n // 2 else 1.0, _prefix_scales(j, boost, n)) for j in counts)
+    cut_scales = tuple(boost if j > n // 2 else 1.0 for j in counts)
     return counts, _TrialBatch(
-        stream.substream(*spec.stream_key()), reg.runs, spec, clutter.rate, points
+        stream.substream(*spec.stream_key()), reg.runs, spec, clutter.rate, cut_scales,
+        _Edge(boost, counts),
     )
 
 

@@ -251,6 +251,13 @@ class TestRegulationCommand:
         code, _, err = run_cli("pd-curve", "--config", regulation_config, capsys=capsys)
         assert code == 1 and "regulation" in err
 
+    @pytest.mark.parametrize("affected", ["1.7", "0:2:0.5", "0, 2.5, 4"])
+    def test_non_integer_affected_counts_fail(self, affected, tmp_path, capsys):
+        path = tmp_path / "frac.cfg"
+        path.write_text(f"detectors = ca\nwindow = 16\nruns = 100\naffected = {affected}\n")
+        code, out, err = run_cli("regulation", "--config", str(path), capsys=capsys)
+        assert code == 1 and out == "" and "affected" in err
+
 
 class TestVerifyCommand:
     def test_full_suite_passes(self, capsys):

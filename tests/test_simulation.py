@@ -369,15 +369,41 @@ class TestCommonRandomNumbers:
                 assert est == estimate_pd(spec, CLUTTER, TargetContext.from_db(scr_db),
                                           inter, self.RUNS, stream)
 
-    @pytest.mark.parametrize("spec", STATS_16, ids=STAT_IDS)
-    def test_regulation_rows_equal_one_point_evaluations(self, spec):
-        reg = RegulationSpec(1e-2, self.RUNS, 10.0, affected_counts=(0, 3, 8, 9, 16))
-        boost = db_to_linear(10.0)
+    EDGE_CASES = [(spec, (0, 3, 8, 9, 16), 10.0) for spec in STATS_16] + [
+        (DetectorSpec(OrderStatistic(1), 16, os_threshold(1e-2, 16, 1)), (0, 3, 8, 9, 16), 10.0),
+        (DetectorSpec(OrderStatistic(16), 16, os_threshold(1e-2, 16, 16)), (0, 3, 8, 9, 16), 10.0),
+        *((spec, (16, 0, 9, 9, 3), 10.0) for spec in STATS_16),
+        *((spec, (0, 3, 8, 9, 16), 0.0) for spec in STATS_16),
+    ]
+    EDGE_IDS = [*STAT_IDS, "os1", "os16", *(f"{i}-unsorted" for i in STAT_IDS),
+                *(f"{i}-0dB" for i in STAT_IDS)]
+
+    @pytest.mark.parametrize("spec, counts, boost_db", EDGE_CASES, ids=EDGE_IDS)
+    def test_regulation_rows_equal_one_point_evaluations(self, spec, counts, boost_db):
+        reg = RegulationSpec(1e-2, self.RUNS, boost_db, affected_counts=counts)
+        boost = db_to_linear(boost_db)
         stream = RandomStream(82).substream(*spec.stream_key())
-        for j, est in pfa_regulation_curve(spec, CLUTTER, reg, 82):
+        curve = pfa_regulation_curve(spec, CLUTTER, reg, 82)
+        assert [j for j, _ in curve] == list(counts)
+        for j, est in curve:
             scales = (boost,) * j + (1.0,) * (16 - j)
             one = reference_successes(spec, boost if j > 8 else 1.0, scales, self.RUNS, stream)
             assert est.successes == one, j
+
+    @pytest.mark.parametrize("spec", STATS_16, ids=STAT_IDS)
+    def test_edge_block_makes_no_per_count_statistic_pass(self, spec, monkeypatch):
+        calls, kernel = [], simulation._stat_rows
+
+        def counted(stat, crp):
+            calls.append(stat)
+            return kernel(stat, crp)
+
+        monkeypatch.setattr(simulation, "_stat_rows", counted)
+        _, batch = simulation._regulation_points(
+            spec, CLUTTER, RegulationSpec(1e-2, 1000, 10.0), RandomStream(88)
+        )
+        assert len(simulation._batch_successes(batch)) == 17
+        assert calls == []
 
     def test_ca_rows_match_exact_heterogeneous_pd(self):
         # CA with CUT scale c0 and cell scales c_i: Pd = prod_i (1 + u c_i)^-1, u = tau/c0
@@ -417,7 +443,7 @@ class TestCommonRandomNumbers:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the draw, plus scaled copies of at most 4,096 rows (1/16 of the block)
+        # the draw, plus the edge pass's temporaries for one chunk of rows
         assert peak < 1.5 * matrix, peak / matrix
 
 
