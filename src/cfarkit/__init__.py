@@ -54,7 +54,6 @@ from .stats import (
     ClutterModel,
     RandomStream,
     TargetContext,
-    boosted_rate,
     db_to_linear,
     exp_cdf,
     linear_to_db,
@@ -71,7 +70,6 @@ __all__ = [
     "sample_exponential",
     "db_to_linear",
     "linear_to_db",
-    "boosted_rate",
     "Decision",
     "Sum",
     "OrderStatistic",

@@ -12,8 +12,9 @@ block the draw order is: CRP matrix, then CUT vector, each divided by
 the clutter rate; nothing else is drawn.  A batch of one point is a
 single estimate.  A batch with one cell scaling (an SCR grid, an
 estimate) computes the clutter statistic once per block; a clutter-edge
-batch evaluates every affected count in one pass over each block, from
-running sums and counts along the cells.  Per-block success counts are
+batch screens each block once per CUT scale and evaluates every affected
+count, from running sums and counts along the cells, on the trials the
+screen keeps.  Per-block success counts are
 combined by exact integer addition, so results are identical for any
 worker count and any scheduling order.
 
@@ -73,6 +74,7 @@ __all__ = [
 
 BLOCK_TRIALS = 1 << 16
 _CHUNK_ROWS = 1 << 10  # rows per step of the edge pass: 256 kB of cells at N = 32
+_SCREEN_SLACK = 2.0**-30  # relative margin of the sum and GM edge screens
 
 
 @dataclass(frozen=True)
@@ -256,63 +258,119 @@ def _batch_successes(batch: _TrialBatch) -> list[int]:
 def _edge_successes(batch: _TrialBatch, crp: np.ndarray, cut: np.ndarray) -> list[int]:
     """Successes at every point of a clutter edge, in one pass over the draw.
 
-    Point ``p`` boosts the first ``j = counts[p]`` cells by ``B``.  The
-    draw is processed ``_CHUNK_ROWS`` rows at a time and is overwritten.
+    Point ``p`` boosts the first ``j = counts[p]`` cells by ``B``.  Points
+    that share a CUT scale form a group.  ``B >= 1`` and every statistic is
+    nondecreasing in every cell, so a trial that fires at any count of a
+    group fires at the group's smallest count ``j_min``.  A screen
+    (:func:`_edge_screen`) decides every trial at ``j_min``, ``_CHUNK_ROWS``
+    rows at a time, and only the trials it keeps (under 1% at design Pfa
+    1e-3) go through the per-count evaluation (:func:`_edge_hits`), in
+    chunks of the same size.  A kept trial gets the same verdicts as in a
+    pass over every trial, so the screen changes no count.  The geometric
+    mean takes the logs of the draw in place.
+    """
+    stat, boost = batch.spec.stat, batch.cells.boost
+    counts = np.asarray(batch.cells.counts, dtype=np.intp)
+    scales = np.asarray(batch.cut_scales)
+    hits = np.zeros(len(counts), dtype=np.int64)
+    if isinstance(stat, GeometricMean):  # a zero cell sends the log sum to -inf and g to 0
+        with np.errstate(divide="ignore"):
+            crp = np.log(crp, out=crp).sum(axis=1)
+    for scale in np.unique(scales):
+        members = np.flatnonzero(scales == scale)
+        zc = cut * scale
+        j_min = counts[members].min()
+        kept = np.flatnonzero(np.concatenate([
+            _edge_screen(batch.spec, boost, crp[r : r + _CHUNK_ROWS], zc[r : r + _CHUNK_ROWS],
+                         j_min)
+            for r in range(0, len(cut), _CHUNK_ROWS)
+        ]))
+        for r in range(0, len(kept), _CHUNK_ROWS):
+            rows = kept[r : r + _CHUNK_ROWS]
+            hits[members] += _edge_hits(batch.spec, boost, crp[rows], zc[rows], counts[members])
+    return hits.tolist()
+
+
+def _order(stat: StatKind) -> int:
+    return stat.k if isinstance(stat, OrderStatistic) else 1
+
+
+def _edge_screen(
+    spec: DetectorSpec, boost: float, x: np.ndarray, zc: np.ndarray, j: int
+) -> np.ndarray:
+    """Trials that may fire with the first ``j`` cells boosted: a superset of those that do.
+
+    ``x`` holds the trials' cells (their log sums for the geometric mean)
+    and ``zc`` their scaled CUT.  An order statistic ``k`` (the minimum is
+    ``k = 1``) counts the cells with ``fl(tau * y) < zc``, from the same
+    rounded products as :func:`_edge_hits`, so it keeps exactly the trials
+    that fire at ``j``.  The sum and the geometric mean lower the threshold
+    by the relative ``_SCREEN_SLACK``, far above the few ulps by which the
+    rounding of their sums (about ``N`` ulps) and of ``exp`` can break the
+    order of the counts.
+    """
+    stat, tau = spec.stat, spec.threshold_multiplier
+    if isinstance(stat, (OrderStatistic, Minimum)):
+        zc = zc[:, None]
+        with np.errstate(over="ignore"):  # a cell lifted to inf is never below zc
+            lifted = x[:, :j] * boost
+            lifted *= tau
+        below = np.count_nonzero(lifted < zc, axis=1)
+        below += np.count_nonzero(x[:, j:] * tau < zc, axis=1)
+        return below >= _order(stat)
+    if isinstance(stat, Sum):
+        limit = x[:, :j].sum(axis=1)
+        limit *= boost
+        limit += x[:, j:].sum(axis=1)
+    else:
+        limit = np.exp((x + j * math.log(boost)) / spec.window_length)
+    limit *= tau * (1.0 - _SCREEN_SLACK)
+    return zc > limit
+
+
+def _edge_hits(
+    spec: DetectorSpec, boost: float, x: np.ndarray, zc: np.ndarray, counts: np.ndarray
+) -> np.ndarray:
+    """Successes at each affected count among trials ``x`` (overwritten), ``zc`` as screened.
 
     - Sum: ``B`` times the prefix sum of the first ``j`` cells plus the
       suffix sum of the rest.
     - Geometric mean: ``exp((sum(log x) + j log B) / N)``.
-    - Order statistic ``k`` (the minimum is ``k = 1``): rounding ``tau * y``
-      is monotone in ``y``, so ``tau * y_(k) < z`` exactly when at least
-      ``k`` cells have ``tau * y_i < z``.  With ``z`` the scaled CUT, that
-      count is the cells below ``z`` unboosted, less those among the first
-      ``j`` that the boost lifts to ``z`` or above.
+    - Order statistic ``k``: rounding ``tau * y`` is monotone in ``y``, so
+      ``tau * y_(k) < zc`` exactly when at least ``k`` cells have
+      ``tau * y_i < zc``; that count is the cells below ``zc`` unboosted,
+      less those among the first ``j`` that the boost lifts to ``zc`` or
+      above.
 
     Order-statistic rows equal a per-point evaluation bit for bit.  Sum and
     geometric-mean rows are the per-point statistics up to rounding, so
     they can differ from it only by a trial whose scaled CUT lies within a
     few ulps of the threshold.
     """
-    stat, tau, boost = batch.spec.stat, batch.spec.threshold_multiplier, batch.cells.boost
-    counts = np.asarray(batch.cells.counts, dtype=np.intp)
-    scales = np.asarray(batch.cut_scales)
-    groups = [scales == c for c in np.unique(scales)]  # points sharing a CUT scale
-    hits = np.zeros(len(counts), dtype=np.int64)
-    for start in range(0, len(cut), _CHUNK_ROWS):
-        x, z = crp[start : start + _CHUNK_ROWS], cut[start : start + _CHUNK_ROWS]
-        if isinstance(stat, (OrderStatistic, Minimum)):
-            k = stat.k if isinstance(stat, OrderStatistic) else 1
-            with np.errstate(over="ignore"):  # a cell lifted to inf is never below z
-                lifted = x[:, : counts.max()] * boost
-                lifted *= tau
-            x *= tau
-            for members in groups:
-                reach = counts[members].max()
-                zc = (z * scales[members][0])[:, None]
-                below = x < zc
-                spare = np.count_nonzero(below, axis=1) - k
-                lost = np.zeros((len(x), reach + 1), dtype=np.int32)
-                np.cumsum(
-                    below[:, :reach] & ~(lifted[:, :reach] < zc), axis=1, out=lost[:, 1:]
-                )
-                hits[members] += np.count_nonzero(
-                    lost[:, counts[members]] <= spare[:, None], axis=0
-                )
-            continue
-        if isinstance(stat, Sum):
-            prefix = np.zeros((len(x), x.shape[1] + 1))
-            np.cumsum(x, axis=1, out=prefix[:, 1:])
-            head = prefix[:, counts]
-            limit = prefix[:, -1:] - head
-            head *= boost
-            limit += head
-        else:  # geometric mean; a zero cell sends the log sum to -inf and g to 0
-            with np.errstate(divide="ignore"):
-                logs = np.log(x, out=x).sum(axis=1)
-            limit = np.exp((logs[:, None] + counts * math.log(boost)) / x.shape[1])
-        limit *= tau
-        hits += np.count_nonzero(z[:, None] * scales > limit, axis=0)
-    return hits.tolist()
+    stat, tau = spec.stat, spec.threshold_multiplier
+    zc = zc[:, None]
+    if isinstance(stat, (OrderStatistic, Minimum)):
+        reach = counts.max()
+        with np.errstate(over="ignore"):
+            lifted = x[:, :reach] * boost
+            lifted *= tau
+        x *= tau
+        below = x < zc
+        spare = np.count_nonzero(below, axis=1) - _order(stat)
+        lost = np.zeros((len(x), reach + 1), dtype=np.int32)
+        np.cumsum(below[:, :reach] & ~(lifted < zc), axis=1, out=lost[:, 1:])
+        return np.count_nonzero(lost[:, counts] <= spare[:, None], axis=0)
+    if isinstance(stat, Sum):
+        prefix = np.zeros((len(x), x.shape[1] + 1))
+        np.cumsum(x, axis=1, out=prefix[:, 1:])
+        head = prefix[:, counts]
+        limit = prefix[:, -1:] - head
+        head *= boost
+        limit += head
+    else:
+        limit = np.exp((x[:, None] + counts * math.log(boost)) / spec.window_length)
+    limit *= tau
+    return np.count_nonzero(zc > limit, axis=0)
 
 
 def _point_estimates(batches: Sequence[_TrialBatch], workers: int) -> list[PdEstimate]:

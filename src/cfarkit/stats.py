@@ -8,7 +8,8 @@ the cell-under-test intensity into an exponential with rate
 linear scale.  All power ratios use the 10*log10 dB convention.
 
 Randomness is organised around :class:`RandomStream`, a value type naming
-one substream of a counter-based generator (Philox).  Identical
+one substream of numpy's SFC64 generator, seeded through
+``SeedSequence(seed, spawn_key=(stream_id,))``.  Identical
 ``(seed, stream_id)`` pairs reproduce identical samples on every platform;
 distinct stream ids are statistically independent, so simulation code can
 hand substreams to parallel workers without coordinating.  The simulation
@@ -33,7 +34,6 @@ __all__ = [
     "sample_exponential",
     "db_to_linear",
     "linear_to_db",
-    "boosted_rate",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -91,7 +91,7 @@ class TargetContext:
 
 @dataclass(frozen=True)
 class RandomStream:
-    """Named substream of a counter-based generator.
+    """Named substream of the SFC64 generator.
 
     ``(seed, stream_id)`` fully determines the sample sequence.  Use
     :meth:`substream` to derive statistically independent child streams
@@ -112,9 +112,9 @@ class RandomStream:
         return RandomStream(self.seed, _mix_key(self.stream_id, *key))
 
     def generator(self) -> np.random.Generator:
-        """Fresh Philox generator positioned at the start of this stream."""
+        """Fresh SFC64 generator, seeded from this stream's ``SeedSequence``."""
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
-        return np.random.Generator(np.random.Philox(ss))
+        return np.random.Generator(np.random.SFC64(ss))
 
 
 def exp_cdf(t: float, rate: float) -> float:
@@ -153,8 +153,11 @@ def sample_exponential(model: ClutterModel, n: int, stream: RandomStream) -> np.
 
 
 def db_to_linear(x: float) -> float:
-    """Power ratio for ``x`` decibels: ``10**(x/10)``."""
-    return 10.0 ** (x / 10.0)
+    """Power ratio for ``x`` decibels: ``10**(x/10)``; ValueError above about 3,083 dB."""
+    try:
+        return 10.0 ** (x / 10.0)
+    except OverflowError:
+        raise ValueError(f"{x!r} dB overflows a floating-point power ratio") from None
 
 
 def linear_to_db(x: float) -> float:
@@ -163,14 +166,3 @@ def linear_to_db(x: float) -> float:
         raise ValueError(f"linear ratio must be finite and > 0, got {x!r}")
     return 10.0 * math.log10(x)
 
-
-def boosted_rate(model: ClutterModel, boost_db: float) -> float:
-    """Rate of clutter whose power is raised by ``boost_db`` decibels.
-
-    A power increase of ``x`` dB corresponds to an exponential parameter
-    of ``lambda * 10**(-x/10)``.  Only increases are meaningful here, so
-    negative ``boost_db`` is rejected.
-    """
-    if not (math.isfinite(boost_db) and boost_db >= 0):
-        raise ValueError(f"boost must be finite and >= 0 dB, got {boost_db!r}")
-    return model.rate * 10.0 ** (-boost_db / 10.0)

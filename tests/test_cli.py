@@ -259,6 +259,22 @@ class TestRegulationCommand:
         assert code == 1 and out == "" and "affected" in err
 
 
+class TestDecibelOverflow:
+    """A dB value whose power ratio overflows a float is a config error, not a traceback."""
+
+    @pytest.mark.parametrize("command, lines", [
+        ("regulation", "boost_db = 5000\n"),
+        ("pd-curve", "scr_db = 0, 5000\n"),
+        ("pd-curve", "scr_db = 0\ninterference_db = 5000\n"),
+    ], ids=["boost_db", "scr_db", "interference_db"])
+    def test_overflowing_db_fails_with_one_line(self, command, lines, tmp_path, capsys):
+        path = tmp_path / "huge.cfg"
+        path.write_text(f"detectors = ca\nwindow = 16\nruns = 100\n{lines}")
+        code, out, err = run_cli(command, "--config", str(path), capsys=capsys)
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "5000" in err and "dB" in err
+
+
 class TestVerifyCommand:
     def test_full_suite_passes(self, capsys):
         code, out, _ = run_cli("verify", capsys=capsys)

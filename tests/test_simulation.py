@@ -6,6 +6,7 @@ oracles from the analytic module, keeping false failures out of the suite.
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -71,6 +72,14 @@ STATS_16 = (
     DetectorSpec(GeometricMean(), 16, gm_threshold(1e-2, 16)),
 )
 STAT_IDS = ("sum", "os13", "min", "gm")
+OS16 = DetectorSpec(OrderStatistic(16), 16, os_threshold(1e-2, 16, 16))  # the maximum
+EDGE = (0, 3, 8, 9, 16)  # affected counts on both sides of the midpoint of N = 16
+SCREEN_CASES = {  # where the edge screen could go wrong: (counts, boost dB, clutter rate)
+    "pfa1": (EDGE, 10.0, 1.0),  # with the threshold set to 0 (design Pfa 1)
+    "one-count-groups": ((7, 7, 12), 10.0, 1.0),  # smallest count = largest in each group
+    "3050dB": (EDGE, 3050.0, 1.0),  # boosted cells near float overflow
+    "rate2.5": (EDGE, 10.0, 2.5),
+}
 
 
 class TestRunTrial:
@@ -130,6 +139,36 @@ class TestDrawOrder:
             == 1
             for i in range(40)
         ]
+
+
+class TestStreamFingerprint:
+    """Pinned success counts: a change to any random stream must be made on purpose.
+
+    The counts come from SFC64 streams; two unequal blocks, random
+    interference.  If a deliberate stream change moves them, record the
+    change in CHANGES.md and pin the new counts.
+    """
+
+    RUNS = BLOCK_TRIALS + 4464
+    INTER = InterferenceSpec(2, 10.0)
+
+    def test_estimate_pd(self):
+        target = TargetContext.from_db(3.0)
+        hits = [estimate_pd(spec, CLUTTER, target, self.INTER, self.RUNS, 2026).successes
+                for spec in STATS_16]
+        assert hits == [3186, 7234, 1784, 6799]
+
+    def test_pfa_regulation_curve(self):
+        reg = RegulationSpec(1e-2, self.RUNS, 10.0, affected_counts=(0, 8, 9, 16))
+        hits = [[est.successes for _, est in pfa_regulation_curve(spec, CLUTTER, reg, 2026)]
+                for spec in STATS_16]
+        assert hits == [[660, 0, 4150, 660], [714, 0, 3931, 714], [770, 428, 3472, 770],
+                        [688, 3, 10402, 688]]
+
+    def test_scr_sweep(self):
+        exp = ExperimentSpec(STATS_16, CLUTTER, (0.0, 10.0), self.RUNS, 2026, self.INTER)
+        hits = [[est.successes for est in curve.estimates] for curve in scr_sweep(exp)]
+        assert hits == [[1062, 25984], [2912, 35869], [1207, 6394], [2556, 35088]]
 
 
 class TestPdEstimate:
@@ -281,6 +320,11 @@ class TestRegulation:
         with pytest.raises(ValueError):
             pfa_regulation_curve(spec, CLUTTER, reg, 1)
 
+    @pytest.mark.parametrize("boost_db", [-3.0, math.inf])
+    def test_boost_must_be_finite_increase(self, boost_db):
+        with pytest.raises(ValueError):
+            RegulationSpec(design_pfa=1e-2, runs=1000, boost_db=boost_db)
+
     def test_empty_affected_counts_draw_nothing(self, monkeypatch):
         monkeypatch.setattr(simulation, "_batch_successes", None)  # any block would fail
         reg = RegulationSpec(design_pfa=1e-2, runs=10**7, affected_counts=())
@@ -369,26 +413,47 @@ class TestCommonRandomNumbers:
                 assert est == estimate_pd(spec, CLUTTER, TargetContext.from_db(scr_db),
                                           inter, self.RUNS, stream)
 
-    EDGE_CASES = [(spec, (0, 3, 8, 9, 16), 10.0) for spec in STATS_16] + [
-        (DetectorSpec(OrderStatistic(1), 16, os_threshold(1e-2, 16, 1)), (0, 3, 8, 9, 16), 10.0),
-        (DetectorSpec(OrderStatistic(16), 16, os_threshold(1e-2, 16, 16)), (0, 3, 8, 9, 16), 10.0),
-        *((spec, (16, 0, 9, 9, 3), 10.0) for spec in STATS_16),
-        *((spec, (0, 3, 8, 9, 16), 0.0) for spec in STATS_16),
+    EDGE_CASES = [(spec, EDGE, 10.0, 1.0) for spec in STATS_16] + [
+        (DetectorSpec(OrderStatistic(1), 16, os_threshold(1e-2, 16, 1)), EDGE, 10.0, 1.0),
+        (OS16, EDGE, 10.0, 1.0),
+        *((spec, (16, 0, 9, 9, 3), 10.0, 1.0) for spec in STATS_16),
+        *((spec, EDGE, 0.0, 1.0) for spec in STATS_16),
+        *((replace(spec, threshold_multiplier=0.0) if case == "pfa1" else spec, *args)
+          for case, args in SCREEN_CASES.items() for spec in (*STATS_16, OS16)),
     ]
     EDGE_IDS = [*STAT_IDS, "os1", "os16", *(f"{i}-unsorted" for i in STAT_IDS),
-                *(f"{i}-0dB" for i in STAT_IDS)]
+                *(f"{i}-0dB" for i in STAT_IDS),
+                *(f"{i}-{case}" for case in SCREEN_CASES for i in (*STAT_IDS, "os16"))]
 
-    @pytest.mark.parametrize("spec, counts, boost_db", EDGE_CASES, ids=EDGE_IDS)
-    def test_regulation_rows_equal_one_point_evaluations(self, spec, counts, boost_db):
+    @pytest.mark.parametrize("spec, counts, boost_db, rate", EDGE_CASES, ids=EDGE_IDS)
+    def test_regulation_rows_equal_one_point_evaluations(self, spec, counts, boost_db, rate):
         reg = RegulationSpec(1e-2, self.RUNS, boost_db, affected_counts=counts)
         boost = db_to_linear(boost_db)
         stream = RandomStream(82).substream(*spec.stream_key())
-        curve = pfa_regulation_curve(spec, CLUTTER, reg, 82)
+        curve = pfa_regulation_curve(spec, ClutterModel(rate), reg, 82)
         assert [j for j, _ in curve] == list(counts)
         for j, est in curve:
             scales = (boost,) * j + (1.0,) * (16 - j)
-            one = reference_successes(spec, boost if j > 8 else 1.0, scales, self.RUNS, stream)
+            one = reference_successes(spec, boost if j > 8 else 1.0, scales, self.RUNS, stream,
+                                      rate)
             assert est.successes == one, j
+
+    @pytest.mark.parametrize("spec", STATS_16, ids=STAT_IDS)
+    def test_edge_screen_passes_few_trials_on(self, spec, monkeypatch):
+        # design Pfa 1e-3, 2 dB edge: about 1% of trials can fire at any count
+        rows, hits = [], simulation._edge_hits
+
+        def counted(spec, boost, x, zc, counts):
+            rows.append(len(x))
+            return hits(spec, boost, x, zc, counts)
+
+        monkeypatch.setattr(simulation, "_edge_hits", counted)
+        spec = replace(spec, threshold_multiplier=resolve_threshold(spec.stat, 16, 1e-3))
+        _, batch = simulation._regulation_points(
+            spec, CLUTTER, RegulationSpec(1e-3, BLOCK_TRIALS, 2.0), RandomStream(89)
+        )
+        assert len(simulation._batch_successes(batch)) == 17
+        assert 0 < sum(rows) < 0.05 * BLOCK_TRIALS, sum(rows) / BLOCK_TRIALS
 
     @pytest.mark.parametrize("spec", STATS_16, ids=STAT_IDS)
     def test_edge_block_makes_no_per_count_statistic_pass(self, spec, monkeypatch):

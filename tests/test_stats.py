@@ -15,7 +15,6 @@ from cfarkit.stats import (
     ClutterModel,
     RandomStream,
     TargetContext,
-    boosted_rate,
     db_to_linear,
     exp_cdf,
     linear_to_db,
@@ -60,6 +59,11 @@ class TestDbConversion:
     def test_round_trip(self, x):
         assert linear_to_db(db_to_linear(x)) == pytest.approx(x, rel=1e-12, abs=1e-12)
 
+    def test_overflow_is_value_error(self):
+        assert db_to_linear(3080.0) == pytest.approx(1e308, rel=1e-12)
+        with pytest.raises(ValueError, match="5000"):
+            db_to_linear(5000.0)
+
     @pytest.mark.parametrize("bad", [0.0, -1.0])
     def test_linear_to_db_domain(self, bad):
         with pytest.raises(ValueError):
@@ -67,21 +71,14 @@ class TestDbConversion:
 
 
 class TestRates:
-    @pytest.mark.parametrize("rate,db,expect", [(1.0, 0.0, 1.0), (1.0, 10.0, 0.1), (2.0, 20.0, 0.02)])
-    def test_boosted_rate(self, rate, db, expect):
-        assert boosted_rate(ClutterModel(rate), db) == pytest.approx(expect, rel=1e-12)
-
-    def test_boosted_rate_rejects_decrease(self):
-        with pytest.raises(ValueError):
-            boosted_rate(ClutterModel(1.0), -3.0)
-
     @given(x=st.floats(0.0, 60.0), rate=st.floats(1e-3, 1e3))
     @settings(max_examples=200, deadline=None)
     def test_boost_scales_mean_intensity(self, x, rate):
-        # mean of boosted clutter is 10^(x/10) times the unboosted mean
+        # clutter raised by x dB has rate lambda * 10^(-x/10); its mean 1/rate
+        # is 10^(x/10) times the unboosted mean
         model = ClutterModel(rate)
-        boosted_mean = 1.0 / boosted_rate(model, x)
-        assert boosted_mean == pytest.approx(db_to_linear(x) / model.rate, rel=1e-12)
+        boosted = ClutterModel(model.rate * 10.0 ** (-x / 10.0))
+        assert 1.0 / boosted.rate == pytest.approx(db_to_linear(x) / model.rate, rel=1e-12)
 
     def test_model_validation(self):
         with pytest.raises(ValueError):
