@@ -47,7 +47,6 @@ from .simulation import (
     estimate_pd,
     pfa_regulation_curve,
     resolve_threshold,
-    run_trial,
     scr_sweep,
 )
 from .stats import (
@@ -100,7 +99,6 @@ __all__ = [
     "RegulationSpec",
     "ExperimentSpec",
     "DetectorCurve",
-    "run_trial",
     "estimate_pd",
     "pfa_regulation_curve",
     "scr_sweep",

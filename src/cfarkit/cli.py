@@ -25,7 +25,7 @@ import numpy as np
 
 from .analytic import ThresholdSolverError, ca_pd, gm_pd, ideal_pd, os_pd
 from .config import DetectorRequest, RunConfig
-from .detector import DetectorSpec, GeometricMean, Minimum, OrderStatistic, Sum
+from .detector import DetectorSpec, GeometricMean, OrderStatistic, Sum
 from .simulation import (
     InterferenceSpec,
     RegulationSpec,
@@ -108,8 +108,6 @@ def _exact_pd(spec: DetectorSpec):
         return lambda s: ca_pd(tau, s, n)
     if isinstance(stat, OrderStatistic):
         return lambda s: os_pd(tau, s, n, stat.k)
-    if isinstance(stat, Minimum):
-        return lambda s: os_pd(tau, s, n, 1)
     if isinstance(stat, GeometricMean):
         return lambda s: gm_pd(tau, s, n)
     raise TypeError(f"unknown statistic kind: {stat!r}")
@@ -132,7 +130,9 @@ def _resolve(req: DetectorRequest, cfg: RunConfig) -> DetectorSpec:
 def _cmd_threshold(args) -> int:
     if args.stat == "os" and args.k is None:
         raise ValueError("--k is required for --stat os")
-    req = DetectorRequest(args.stat, args.k if args.stat == "os" else None)
+    if args.stat != "os" and args.k is not None:
+        raise ValueError(f"--k applies only to --stat os, not --stat {args.stat}")
+    req = DetectorRequest(args.stat, args.k)
     print(_format_sig9(resolve_threshold(req.to_stat(), args.window, args.pfa)))
     return 0
 

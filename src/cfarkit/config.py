@@ -3,7 +3,8 @@
 A config file is plain text, one ``key = value`` per line, with ``#``
 comments.  Lists are comma separated; numeric grids may be written
 ``start:stop:step`` (stop included when it lands on the grid).  Detector
-tokens are ``ca``, ``os:<k>``, ``gm``, ``min``, and ``ideal``.
+tokens are ``ca``, ``os:<k>``, ``gm``, ``min`` (the minimum, ``os:1``) and
+``ideal``.
 
 Example::
 
@@ -22,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .detector import GeometricMean, Minimum, OrderStatistic, StatKind, Sum
+from .detector import GeometricMean, OrderStatistic, StatKind, Sum
 from .simulation import FixedCells, Placement, RandomUniform
 
 __all__ = ["DetectorRequest", "RunConfig", "parse_key_values"]
@@ -63,10 +64,10 @@ class DetectorRequest:
         if self.kind == "os":
             assert self.k is not None
             return OrderStatistic(self.k)
+        if self.kind == "min":
+            return OrderStatistic(1)
         if self.kind == "gm":
             return GeometricMean()
-        if self.kind == "min":
-            return Minimum()
         raise ValueError(f"detector {self.label()!r} has no clutter statistic")
 
 

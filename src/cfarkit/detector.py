@@ -9,10 +9,11 @@ guard cells on each side::
        lagging bank        guards          leading bank
 
 The CRP is compressed to a single clutter level ``g`` by a scale-invariant
-statistic (sum, order statistic, geometric mean, or minimum), and a target
-is declared when the CUT strictly exceeds ``tau * g``.  Scale invariance of
-the statistic is what makes the false-alarm rate independent of the
-unknown clutter power (the CFAR property).
+statistic (sum, order statistic or geometric mean; the minimum is the order
+statistic ``k = 1``), and a target is declared when the CUT strictly
+exceeds ``tau * g``.  Scale invariance of the statistic is what makes the
+false-alarm rate independent of the unknown clutter power (the CFAR
+property).
 """
 
 from __future__ import annotations
@@ -68,14 +69,14 @@ class GeometricMean:
     """Geometric mean of the CRP."""
 
 
-@dataclass(frozen=True)
-class Minimum:
-    """Smallest CRP value (the k=1 order statistic)."""
+def Minimum() -> OrderStatistic:
+    """Smallest CRP value: the order statistic ``k = 1``."""
+    return OrderStatistic(1)
 
 
-StatKind = Sum | OrderStatistic | GeometricMean | Minimum
+StatKind = Sum | OrderStatistic | GeometricMean
 
-_STAT_CODES: dict[type, int] = {Sum: 1, OrderStatistic: 2, GeometricMean: 3, Minimum: 4}
+_STAT_CODES: dict[type, int] = {Sum: 1, OrderStatistic: 2, GeometricMean: 3}
 
 
 @dataclass(frozen=True)
@@ -142,7 +143,7 @@ class DetectorSpec:
 def _stat_rows(stat: StatKind, crp: np.ndarray) -> np.ndarray:
     """Clutter statistic of every row of a (rows, N) CRP matrix.
 
-    The only implementation of the four statistics; inputs are not checked.
+    The only implementation of the three statistics; inputs are not checked.
     ``crp`` may be overwritten (the order statistic partitions it and the
     geometric mean takes its log in place), so callers pass a matrix they
     own; the returned vector is a new array.  The sum is accumulated as
@@ -156,8 +157,6 @@ def _stat_rows(stat: StatKind, crp: np.ndarray) -> np.ndarray:
     if isinstance(stat, OrderStatistic):
         crp.partition(stat.k - 1, axis=1)
         return crp[:, stat.k - 1].copy()
-    if isinstance(stat, Minimum):
-        return crp.min(axis=1)
     if isinstance(stat, GeometricMean):
         # a zero cell pushes the mean log to -inf, which maps to the limit
         # value g = 0

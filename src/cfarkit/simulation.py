@@ -47,7 +47,6 @@ from .analytic import SolverSettings, ca_threshold, gm_threshold, os_threshold
 from .detector import (
     DetectorSpec,
     GeometricMean,
-    Minimum,
     OrderStatistic,
     StatKind,
     Sum,
@@ -65,7 +64,6 @@ __all__ = [
     "RegulationSpec",
     "ExperimentSpec",
     "DetectorCurve",
-    "run_trial",
     "estimate_pd",
     "pfa_regulation_curve",
     "scr_sweep",
@@ -291,17 +289,13 @@ def _edge_successes(batch: _TrialBatch, crp: np.ndarray, cut: np.ndarray) -> lis
     return hits.tolist()
 
 
-def _order(stat: StatKind) -> int:
-    return stat.k if isinstance(stat, OrderStatistic) else 1
-
-
 def _edge_screen(
     spec: DetectorSpec, boost: float, x: np.ndarray, zc: np.ndarray, j: int
 ) -> np.ndarray:
     """Trials that may fire with the first ``j`` cells boosted: a superset of those that do.
 
     ``x`` holds the trials' cells (their log sums for the geometric mean)
-    and ``zc`` their scaled CUT.  An order statistic ``k`` (the minimum is
+    and ``zc`` their scaled CUT.  An order statistic ``k`` (``min`` is
     ``k = 1``) counts the cells with ``fl(tau * y) < zc``, from the same
     rounded products as :func:`_edge_hits`, so it keeps exactly the trials
     that fire at ``j``.  The sum and the geometric mean lower the threshold
@@ -310,14 +304,14 @@ def _edge_screen(
     order of the counts.
     """
     stat, tau = spec.stat, spec.threshold_multiplier
-    if isinstance(stat, (OrderStatistic, Minimum)):
+    if isinstance(stat, OrderStatistic):
         zc = zc[:, None]
         with np.errstate(over="ignore"):  # a cell lifted to inf is never below zc
             lifted = x[:, :j] * boost
             lifted *= tau
         below = np.count_nonzero(lifted < zc, axis=1)
         below += np.count_nonzero(x[:, j:] * tau < zc, axis=1)
-        return below >= _order(stat)
+        return below >= stat.k
     if isinstance(stat, Sum):
         limit = x[:, :j].sum(axis=1)
         limit *= boost
@@ -349,14 +343,14 @@ def _edge_hits(
     """
     stat, tau = spec.stat, spec.threshold_multiplier
     zc = zc[:, None]
-    if isinstance(stat, (OrderStatistic, Minimum)):
+    if isinstance(stat, OrderStatistic):
         reach = counts.max()
         with np.errstate(over="ignore"):
             lifted = x[:, :reach] * boost
             lifted *= tau
         x *= tau
         below = x < zc
-        spare = np.count_nonzero(below, axis=1) - _order(stat)
+        spare = np.count_nonzero(below, axis=1) - stat.k
         lost = np.zeros((len(x), reach + 1), dtype=np.int32)
         np.cumsum(below[:, :reach] & ~(lifted < zc), axis=1, out=lost[:, 1:])
         return np.count_nonzero(lost[:, counts] <= spare[:, None], axis=0)
@@ -383,6 +377,8 @@ def _point_estimates(batches: Sequence[_TrialBatch], workers: int) -> list[PdEst
     through one pool of at most one process per block; integer addition
     makes each point's sum independent of the order in which workers finish.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     owners, blocks = [], []
     for index, batch in enumerate(batches):
         n_blocks = (batch.trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS if batch.cut_scales else 0
@@ -481,25 +477,6 @@ def _regulation_points(
 # ---------------------------------------------------------------------------
 
 
-def run_trial(
-    spec: DetectorSpec,
-    clutter: ClutterModel,
-    target: TargetContext | None,
-    interference: InterferenceSpec | None,
-    stream: RandomStream,
-) -> bool:
-    """Execute a single detection trial; True means a target was declared.
-
-    The CUT is drawn at the target rate under H1 (``target`` given) and at
-    the clutter rate under H0 (``target`` is None).  Deterministic in
-    ``stream``: the trial is drawn as the one trial of a block, so
-    ``run_trial(..., s.substream(0))`` is the outcome of
-    ``estimate_pd(..., runs=1, seed=s)``.
-    """
-    batch = _detection_batch(spec, clutter, [target], interference, 1, stream)
-    return _batch_successes(batch) == [1]
-
-
 def estimate_pd(
     spec: DetectorSpec,
     clutter: ClutterModel,
@@ -581,16 +558,14 @@ def resolve_threshold(
 ) -> float:
     """Threshold multiplier achieving ``design_pfa`` for any statistic kind.
 
-    Every statistic has an exact Pfa: closed forms for the sum and the
-    minimum (the k=1 order statistic), a log-gamma expression for order
-    statistics and a Mellin-Barnes quadrature for the geometric mean.
+    Every statistic has an exact Pfa: a closed form for the sum, a
+    log-gamma expression for order statistics (closed form at ``k = 1``,
+    the minimum) and a Mellin-Barnes quadrature for the geometric mean.
     """
     if isinstance(stat, Sum):
         return ca_threshold(design_pfa, window)
     if isinstance(stat, OrderStatistic):
         return os_threshold(design_pfa, window, stat.k, settings)
-    if isinstance(stat, Minimum):
-        return os_threshold(design_pfa, window, 1, settings)
     if isinstance(stat, GeometricMean):
         return gm_threshold(design_pfa, window, settings)
     raise TypeError(f"unknown statistic kind: {stat!r}")

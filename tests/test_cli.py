@@ -17,6 +17,7 @@ from cfarkit.analytic import (
 )
 from cfarkit.cli import main
 from cfarkit.config import RunConfig
+from cfarkit.detector import OrderStatistic
 from cfarkit.stats import db_to_linear
 
 
@@ -58,6 +59,20 @@ class TestThresholdCommand:
         code, _, err = run_cli("threshold", "--stat", "ca", "--window", "32",
                                "--pfa", "1.5", capsys=capsys)
         assert code == 1 and err
+
+    @pytest.mark.parametrize("stat", ["ca", "gm", "min"])
+    def test_k_rejected_unless_os(self, stat, capsys):
+        code, out, err = run_cli("threshold", "--stat", stat, "--window", "32", "--k", "3",
+                                 "--pfa", "1e-4", capsys=capsys)
+        assert code == 1 and out == ""
+        assert err == f"cfarkit: --k applies only to --stat os, not --stat {stat}\n"
+
+    @pytest.mark.parametrize("window, pfa", [(2, "1e-1"), (32, "1e-4"), (1024, "1e-12")])
+    def test_min_prints_os_with_k_1(self, window, pfa, capsys):
+        common = ("--window", str(window), "--pfa", pfa)
+        code, out, _ = run_cli("threshold", "--stat", "min", *common, capsys=capsys)
+        assert code == 0
+        assert out == run_cli("threshold", "--stat", "os", "--k", "1", *common, capsys=capsys)[1]
 
     def test_unknown_stat_fails_with_usage(self, capsys):
         code, _, err = run_cli("threshold", "--stat", "bogus", "--pfa", "0.1", capsys=capsys)
@@ -128,6 +143,7 @@ class TestPdCurveCommand:
             assert by_key[("os15", scr_db)] == os_pd(tau_os, s, 16, 15)
             assert by_key[("ideal", scr_db)] == ideal_pd(1e-3, s)
             assert by_key[("min", scr_db)] == os_pd(tau_min, s, 16, 1)
+        assert {tuple(r[:3]) for r in rows if r[0] == "min"} == {("min", "min", "")}
 
     def test_gm_rows_without_interference_are_analytic(self, tmp_path, capsys):
         path = tmp_path / "gm.cfg"
@@ -310,6 +326,11 @@ class TestConfigParsing:
             "detectors = ca, os:24, gm, min, ideal\nscr_db = 0\n", "pd-curve"
         )
         assert [d.label() for d in cfg.detectors] == ["ca", "os24", "gm", "min", "ideal"]
+
+    def test_min_token_is_first_order_statistic(self):
+        cfg = RunConfig.from_text("detectors = min\nscr_db = 0\n", "pd-curve")
+        (req,) = cfg.detectors
+        assert req.to_stat() == OrderStatistic(1) and req.label() == "min"
 
     def test_interference_none_token(self):
         cfg = RunConfig.from_text(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cfarkit
 from cfarkit.analytic import os_threshold
 from cfarkit.detector import (
     Decision,
@@ -32,6 +33,9 @@ class TestClutterStatistic:
 
     def test_minimum(self):
         assert clutter_statistic(Minimum(), [3.0, 1.0, 2.0]) == 1.0
+
+    def test_minimum_is_the_first_order_statistic(self):
+        assert cfarkit.Minimum() == OrderStatistic(1)
 
     def test_geometric_mean_zero_limit(self):
         assert clutter_statistic(GeometricMean(), [0.0, 4.0, 2.0]) == 0.0

@@ -26,7 +26,6 @@ from cfarkit.simulation import (
     estimate_pd,
     pfa_regulation_curve,
     resolve_threshold,
-    run_trial,
     scr_sweep,
 )
 from cfarkit.stats import ClutterModel, RandomStream, TargetContext, db_to_linear
@@ -49,8 +48,6 @@ def reference_block(spec, cut_scale, cell_scales, trials, stream, rate=1.0) -> i
         g = crp[:, : n // 2].sum(axis=1) + crp[:, n // 2 :].sum(axis=1)
     elif isinstance(stat, OrderStatistic):
         g = np.sort(crp, axis=1)[:, stat.k - 1]
-    elif isinstance(stat, Minimum):
-        g = crp.min(axis=1)
     else:
         g = np.exp(np.log(crp).mean(axis=1))
     return int(np.count_nonzero(cut > spec.threshold_multiplier * g))
@@ -82,45 +79,11 @@ SCREEN_CASES = {  # where the edge screen could go wrong: (counts, boost dB, clu
 }
 
 
-class TestRunTrial:
-    def test_zero_threshold_always_detects(self):
-        spec = DetectorSpec(Sum(), 32, 0.0)
-        stream = RandomStream(3, 1)
-        assert run_trial(spec, CLUTTER, None, None, stream) is True
-
-    def test_same_stream_same_outcome(self):
-        spec = DetectorSpec(OrderStatistic(31), 32, 3.9)
-        stream = RandomStream(3, 2)
-        outcomes = {run_trial(spec, CLUTTER, TargetContext(5.0), None, stream) for _ in range(5)}
-        assert len(outcomes) == 1
-
-    def test_interference_in_fixed_cells(self):
-        spec = DetectorSpec(Sum(), 8, 1.0, guard_cells=0)
-        inter = InterferenceSpec(2, 20.0, FixedCells((0, 5)))
-        assert isinstance(run_trial(spec, CLUTTER, None, inter, RandomStream(4)), bool)
-
-    def test_is_the_one_trial_block_of_estimate_pd(self):
-        spec = DetectorSpec(Sum(), 8, ca_threshold(0.3, 8), guard_cells=0)
-        outcomes = []
-        for seed in range(12):
-            stream = RandomStream(5, seed)
-            for target, inter in (
-                (None, None),
-                (TargetContext.from_db(3.0), None),
-                (TargetContext.from_db(3.0), InterferenceSpec(2, 10.0)),
-            ):
-                trial = run_trial(spec, CLUTTER, target, inter, stream.substream(0))
-                est = estimate_pd(spec, CLUTTER, target, inter, 1, stream)
-                assert trial is (est.successes == 1)
-                outcomes.append(trial)
-        assert set(outcomes) == {True, False}
-
-
 class TestDrawOrder:
     RUNS = BLOCK_TRIALS + 4464  # two unequal blocks
 
     @pytest.mark.parametrize("spec", STATS_16, ids=STAT_IDS)
-    def test_estimate_pd_and_run_trial_match_reference(self, spec):
+    def test_estimate_pd_matches_reference(self, spec):
         target = TargetContext.from_db(3.0)
         inter = InterferenceSpec(2, 10.0, FixedCells((1, 5)))
         scales = tuple(11.0 if i in (1, 5) else 1.0 for i in range(16))
@@ -131,14 +94,6 @@ class TestDrawOrder:
             assert est.successes == reference_successes(
                 spec, cut_scale, scales, self.RUNS, stream, rate=2.0
             )
-        outcomes = [
-            run_trial(spec, clutter, target, inter, RandomStream(17, i)) for i in range(40)
-        ]
-        assert outcomes == [
-            reference_block(spec, 1.0 + target.scr_linear, scales, 1, RandomStream(17, i), 2.0)
-            == 1
-            for i in range(40)
-        ]
 
 
 class TestStreamFingerprint:
@@ -162,13 +117,13 @@ class TestStreamFingerprint:
         reg = RegulationSpec(1e-2, self.RUNS, 10.0, affected_counts=(0, 8, 9, 16))
         hits = [[est.successes for _, est in pfa_regulation_curve(spec, CLUTTER, reg, 2026)]
                 for spec in STATS_16]
-        assert hits == [[660, 0, 4150, 660], [714, 0, 3931, 714], [770, 428, 3472, 770],
+        assert hits == [[660, 0, 4150, 660], [714, 0, 3931, 714], [692, 358, 3320, 692],
                         [688, 3, 10402, 688]]
 
     def test_scr_sweep(self):
         exp = ExperimentSpec(STATS_16, CLUTTER, (0.0, 10.0), self.RUNS, 2026, self.INTER)
         hits = [[est.successes for est in curve.estimates] for curve in scr_sweep(exp)]
-        assert hits == [[1062, 25984], [2912, 35869], [1207, 6394], [2556, 35088]]
+        assert hits == [[1062, 25984], [2912, 35869], [1195, 6273], [2556, 35088]]
 
 
 class TestPdEstimate:
@@ -207,6 +162,10 @@ class TestEstimatePd:
         spec = DetectorSpec(OrderStatistic(31), 32, tau)
         est = estimate_pd(spec, CLUTTER, None, None, 200_000, 13)
         assert within(est, 1e-2)
+
+    def test_zero_threshold_always_detects(self):
+        est = estimate_pd(DetectorSpec(Sum(), 32, 0.0), CLUTTER, None, None, 1000, 3)
+        assert est.successes == 1000
 
     def test_worker_count_never_changes_the_answer(self):
         spec = DetectorSpec(Sum(), 32, ca_threshold(1e-2, 32))
@@ -299,13 +258,14 @@ class TestCalibration:
 
 class TestRegulation:
     def test_homogeneous_endpoints_hold_design(self):
-        tau = ca_threshold(1e-2, 32)
-        spec = DetectorSpec(Sum(), 32, tau)
-        reg = RegulationSpec(design_pfa=1e-2, runs=200_000, boost_db=10.0,
-                             affected_counts=(0, 32))
-        curve = dict(pfa_regulation_curve(spec, CLUTTER, reg, 41))
-        assert within(curve[0], 1e-2)
-        assert within(curve[32], 1e-2)  # full saturation is homogeneous again
+        # on one draw j = N makes the same comparisons as j = 0 (the statistic
+        # is scale invariant), so each endpoint gets its own draw
+        spec = DetectorSpec(Sum(), 32, ca_threshold(1e-2, 32))
+        for j, seed in ((0, 41), (32, 44)):  # full saturation is homogeneous again
+            reg = RegulationSpec(design_pfa=1e-2, runs=200_000, boost_db=10.0,
+                                 affected_counts=(j,))
+            ((count, est),) = pfa_regulation_curve(spec, CLUTTER, reg, seed)
+            assert count == j and within(est, 1e-2), (j, est.p_hat)
 
     def test_zero_boost_is_flat(self):
         tau = ca_threshold(1e-2, 16)
@@ -531,6 +491,20 @@ class TestRunPlan:
                 results.append(call(workers))
                 assert len(pools_started) == pools, workers
             assert results[0] == results[1] == results[2]
+
+    @pytest.mark.parametrize("workers", [0, -5])
+    @pytest.mark.parametrize("operation", ["estimate_pd", "pfa_regulation_curve", "scr_sweep"])
+    def test_workers_below_one_rejected(self, operation, workers):
+        spec = DetectorSpec(Sum(), 16, ca_threshold(1e-2, 16))
+        call = {
+            "estimate_pd": lambda: estimate_pd(spec, CLUTTER, None, None, 100, 1, workers=workers),
+            "pfa_regulation_curve": lambda: pfa_regulation_curve(
+                spec, CLUTTER, RegulationSpec(1e-2, 100), 1, workers=workers),
+            "scr_sweep": lambda: scr_sweep(
+                ExperimentSpec((spec,), CLUTTER, (0.0,), 100, 1), workers=workers),
+        }[operation]
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            call()
 
     def test_pool_never_outnumbers_blocks(self, monkeypatch):
         sizes = []
