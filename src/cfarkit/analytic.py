@@ -25,7 +25,8 @@ Geometric mean (``g = (X_1 ... X_N)**(1/N)``)::
 
 on a line ``Re s = c``, ``0 < c < N``: the Mellin-Barnes form of
 ``exp(-x)`` with ``E[g**-s] = G(1 - s/N)**N``.  It is evaluated by one
-trapezoid sum in log space.
+trapezoid sum in log space, which stops once the integrand has decayed
+and also gives ``d log Pfa / d log tau`` for Newton steps in ``log tau``.
 
 The ideal detector compares the CUT against the fixed level
 ``-ln(Pfa)/lambda``, which requires exact knowledge of ``lambda`` and so
@@ -61,10 +62,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Controls for the bracketed threshold solver.
+    """Controls for the threshold solver (regula falsi for OS, Newton for GM).
 
     ``relative_tolerance`` bounds the relative false-alarm residual at the
-    returned threshold.
+    returned threshold; ``max_iterations`` counts Pfa evaluations.
     """
 
     relative_tolerance: float = 1e-12
@@ -172,11 +173,15 @@ def os_threshold(
     _check_window(n)
     _check_os_index(k, n)
     if k == 1:
-        return n * (1.0 - pfa) / pfa
+        tau = n * (1.0 - pfa) / pfa
+        if math.isinf(tau):
+            raise ValueError(f"minimum-detector multiplier at Pfa {pfa!r}, N={n} overflows")
+        return tau
     return _solve_threshold(lambda tau: _os_log_prob(tau, n, k), pfa, settings)
 
 
-# Stirling-series coefficients B_2j / (2j (2j - 1)), j = 1..7
+# Stirling-series coefficients B_2j / (2j (2j - 1)), j = 1..7, summed by
+# np.polyval: numpy.polynomial is a lazy subpackage that takes 4 ms to load
 _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
 
 
@@ -199,8 +204,8 @@ def _log_gamma1p(x: np.ndarray) -> np.ndarray:
     is used.
     """
     w = 11.0 + x
-    series = np.polynomial.polynomial.polyval(1.0 / (w * w), _STIRLING) / w
-    series -= np.polynomial.polynomial.polyval(1.0 / 121.0, _STIRLING) / 11.0
+    series = np.polyval(_STIRLING[::-1], 1.0 / (w * w)) / w
+    series -= np.polyval(_STIRLING[::-1], 1.0 / 121.0) / 11.0
     shift = np.zeros_like(x)  # (1 + x)(1 + x/2) ... (1 + x/10) - 1
     for j in range(1, 11):
         shift += (x / j) * (1.0 + shift)
@@ -211,14 +216,21 @@ def _log_gamma1p(x: np.ndarray) -> np.ndarray:
 # Trapezoid rule on the upper half of the contour (the integrand is conjugate
 # symmetric): nodes Im s = 0, h, ..., 60, weights h/pi halved at 0.  A contour
 # 0.1 or more from the poles at s = -1, 0 and N bounds the error by
-# exp(-2 pi 0.1 / h) of the integrand's size.
+# exp(-2 pi 0.1 / h) of the integrand's size.  Its modulus falls with |Im s|,
+# so chunks of 1280 nodes (Im s = 25.6, enough for N <= 64) are summed until
+# it has decayed.
 _GM_STEP = 0.02
 _GM_NODES = 1j * np.arange(0.0, 60.0 + _GM_STEP / 2, _GM_STEP)
 _GM_WEIGHTS = np.where(_GM_NODES == 0, 0.5, 1.0) * _GM_STEP / math.pi
 
 
 def _gm_log_pfa(tau: float, n: int) -> float:
-    """log of the geometric-mean false-alarm probability at multiplier ``tau``.
+    """log of the geometric-mean false-alarm probability at multiplier ``tau``."""
+    return _gm_quadrature(tau, n)[0]
+
+
+def _gm_quadrature(tau: float, n: int) -> tuple[float, float]:
+    """log Pfa of the geometric mean at ``tau`` and its slope ``d log Pfa / d log tau``.
 
     The contour ``Re s = c`` runs through the saddle point, the minimum of
     the convex ``log(tau**-c G(c) G(1 - c/n)**n)`` on ``[0.25, n - 0.25]``.
@@ -226,38 +238,43 @@ def _gm_log_pfa(tau: float, n: int) -> float:
     near 1) the line moves past the pole at ``s = 0`` into ``[-0.9, -0.1]``
     and the residue 1 is added: the line then carries ``Pfa - 1`` to full
     relative precision.  ``1 >= Pfa >= 1 - tau``, so below ``tau = 1e-30``
-    the log Pfa is returned as 0.  A sum whose integrand has not decayed by
-    the last node, or that cancels by more than six digits, is refused:
-    N = 1024 below Pfa 1e-15, say.
+    the log Pfa is returned as 0.  The slope weights the same terms by
+    ``-s``.  A sum whose integrand has not decayed by ``Im s = 60``, or that
+    cancels by more than six digits, is refused: N = 1024 below Pfa 1e-15.
     """
     if tau <= 1e-30:
-        return 0.0
+        return 0.0, 0.0
     log_tau = math.log(tau)
 
     def log_peak(c: float) -> float:
         return math.lgamma(c) + n * math.lgamma(1.0 - c / n) - c * log_tau
 
-    def saddle(lo: float, hi: float) -> tuple[float, float]:
-        for _ in range(40):  # shrinks the bracket to (2/3)**40 of its width
+    def saddle(lo: float, hi: float) -> float:
+        for _ in range(16):  # shrinks the bracket to (2/3)**16 of its width
             m1, m2 = (2.0 * lo + hi) / 3.0, (lo + 2.0 * hi) / 3.0
             lo, hi = (lo, m2) if log_peak(m1) < log_peak(m2) else (m1, hi)
-        return 0.5 * (lo + hi), lo
+        return 0.5 * (lo + hi)
 
-    c, lo = saddle(0.25, n - 0.25)
-    residue = lo == 0.25  # log_peak rose across the whole bracket
-    if residue:
-        c, _ = saddle(-0.9, -0.1)
-    s = c + _GM_NODES
-    log_f = _log_gamma1p(s) - np.log(s) + n * _log_gamma1p(-s / n) - s * log_tau
-    peak = float(log_f[0].real)
-    terms = _GM_WEIGHTS * np.exp(log_f - peak)
+    residue = log_peak(0.25) <= log_peak(0.26)  # the saddle lies left of about 0.25
+    c = saddle(-0.9, -0.1) if residue else saddle(0.25, n - 0.25)
+    peak, parts = log_peak(c), []  # log |integrand| at Im s = 0
+    for start in range(0, _GM_NODES.size, 1280):
+        s = c + _GM_NODES[start:start + 1280]
+        log_g = _log_gamma1p(np.concatenate((s, -s / n)))
+        log_f = log_g[:s.size] - np.log(s) + n * log_g[s.size:] - s * log_tau
+        parts.append(_GM_WEIGHTS[start:start + s.size] * np.exp(log_f - peak))
+        if abs(parts[-1][-1]) < 1e-16 * abs(parts[0].real.sum()):
+            break
+    terms = np.concatenate(parts)
     total = float(terms.real.sum()) * (-1.0 if residue else 1.0)
     trusted = abs(terms[-1]) < 1e-16 * total and np.abs(terms).sum() < 1e6 * total
     if not (total > 0.0 and trusted):
         raise ValueError(f"geometric-mean Pfa at tau={tau!r}, N={n} is beyond the quadrature")
+    slope = -float(((c + _GM_NODES[:terms.size]) * terms).real.sum())
     if residue:
-        return math.log1p(-total * math.exp(peak))
-    return min(0.0, peak + math.log(total))
+        log_pfa = math.log1p(-total * math.exp(peak))
+        return log_pfa, slope * math.exp(peak - log_pfa)
+    return min(0.0, peak + math.log(total)), slope / total
 
 
 def gm_pd(tau: float, scr: float, n: int) -> float:
@@ -274,22 +291,30 @@ def gm_pfa(tau: float, n: int) -> float:
 
 
 def gm_threshold(pfa: float, n: int, settings: SolverSettings = SolverSettings()) -> float:
-    """Invert the geometric-mean Pfa for the threshold multiplier."""
+    """Invert the geometric-mean Pfa for the threshold multiplier.
+
+    ``min <= g <= mean`` brackets the root between N times the CA multiplier
+    and the minimum detector's ``N (1 - pfa) / pfa``, equal at N = 1.
+    """
     _check_pfa(pfa)
     _check_window(n)
-    return _solve_threshold(lambda tau: _gm_log_pfa(tau, n), pfa, settings)
+    lo = n * math.expm1(min(-math.log(pfa) / n, 709.0))  # both edges kept finite
+    hi = min(n * ((1.0 - pfa) / pfa), 1e308)
+    return _solve_threshold(lambda tau: _gm_quadrature(tau, n), pfa, settings, (lo, hi))
 
 
-def _solve_threshold(log_prob, pfa: float, settings: SolverSettings) -> float:
+def _solve_threshold(log_prob, pfa: float, settings: SolverSettings, bracket=None) -> float:
     """Solve ``log_prob(tau) = log(pfa)`` for ``tau >= 0``, ``0 < pfa <= 1``.
 
     ``log_prob`` is continuous and strictly decreasing from 0 at ``tau = 0``,
-    so ``pfa = 1`` has the root 0 and any other root is bracketed by doubling
-    the upper edge from 1, then polished by regula falsi safeguarded
-    by bisection until the relative Pfa residual is within
-    ``settings.relative_tolerance`` or the bracket collapses to machine
-    precision.  Exhausting the iteration budget raises
-    :class:`ThresholdSolverError` with the last bracket.
+    so ``pfa = 1`` has the root 0.  Given a ``bracket`` of the root,
+    ``log_prob`` also returns ``d log Pfa / d log tau`` for Newton steps in
+    ``log tau`` from its lower edge, with bisection for a step that leaves
+    it.  Otherwise the root is bracketed by doubling from 1, then polished
+    by regula falsi safeguarded by bisection.  Either way the solve stops
+    when the relative Pfa residual is within ``settings.relative_tolerance``
+    or the bracket collapses to machine precision.  Exhausting the
+    iteration budget raises :class:`ThresholdSolverError` with the last bracket.
     """
     if pfa == 1.0:
         return 0.0
@@ -299,30 +324,34 @@ def _solve_threshold(log_prob, pfa: float, settings: SolverSettings) -> float:
         # log-space residual; strictly decreasing in tau
         return log_prob(tau) - log_pfa
 
-    lo, f_lo = 0.0, -log_pfa
-    hi = 1.0
-    iterations = 0
-    f_hi = residual(hi)
-    while f_hi > 0.0:
-        iterations += 1
-        if iterations >= settings.max_iterations:
-            raise ThresholdSolverError("bracket growth exhausted iterations", (lo, hi))
-        lo, f_lo = hi, f_hi
-        hi *= 2.0
-        f_hi = residual(hi)
+    lo, hi = bracket or (0.0, 1.0)
+    iterations, cand, f_best = 0, lo, math.inf
+    if not bracket:
+        f_lo, f_hi = -log_pfa, residual(hi)
+        while f_hi > 0.0:
+            iterations += 1
+            if iterations >= settings.max_iterations:
+                raise ThresholdSolverError("bracket growth exhausted iterations", (lo, hi))
+            lo, f_lo = hi, f_hi
+            hi *= 2.0
+            f_hi = residual(hi)
+        best, f_best = (lo, f_lo) if abs(f_lo) < abs(f_hi) else (hi, f_hi)
 
-    best, f_best = (lo, f_lo) if abs(f_lo) < abs(f_hi) else (hi, f_hi)
     use_bisection = False
     while iterations < settings.max_iterations:
         iterations += 1
-        # Alternate regula falsi with plain bisection: falsi gives fast
-        # convergence on this smooth monotone residual, bisection guarantees
-        # the bracket collapses even when falsi stalls one-sided.
-        cand = lo + f_lo * (hi - lo) / (f_lo - f_hi)
-        if use_bisection or not (lo < cand < hi):
-            cand = 0.5 * (lo + hi)
-        use_bisection = not use_bisection
-        f_cand = residual(cand)
+        if bracket:
+            f_cand, slope = log_prob(cand)
+            f_cand -= log_pfa
+        else:
+            # Alternate regula falsi with plain bisection: falsi gives fast
+            # convergence on this smooth monotone residual, bisection guarantees
+            # the bracket collapses even when falsi stalls one-sided.
+            cand = lo + f_lo * (hi - lo) / (f_lo - f_hi)
+            if use_bisection or not (lo < cand < hi):
+                cand = 0.5 * (lo + hi)
+            use_bisection = not use_bisection
+            f_cand = residual(cand)
         if abs(f_cand) < abs(f_best):
             best, f_best = cand, f_cand
         # |expm1(log residual)| is the relative Pfa error at the candidate.
@@ -334,6 +363,10 @@ def _solve_threshold(log_prob, pfa: float, settings: SolverSettings) -> float:
             hi, f_hi = cand, f_cand
         if hi - lo <= 4.0 * math.ulp(hi):
             return best
+        if bracket:  # a Newton step in log tau, else bisection in log tau
+            cand *= math.exp(min(-f_cand / min(slope, -1e-300), 700.0))
+            if not lo < cand < hi:
+                cand = math.sqrt(lo) * math.sqrt(hi)
     raise ThresholdSolverError("threshold solver failed to converge", (lo, hi))
 
 

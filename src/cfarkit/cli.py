@@ -35,7 +35,6 @@ from .simulation import (
     resolve_threshold,
 )
 from .stats import ClutterModel, RandomStream, db_to_linear
-from .verify import run_properties
 
 __all__ = ["main", "console_main"]
 
@@ -210,6 +209,8 @@ def _cmd_regulation(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_properties  # imported here: no other subcommand needs it
+
     results = run_properties(args.filter)
     if not results:
         print(f"no properties match filter {args.filter!r}", file=sys.stderr)

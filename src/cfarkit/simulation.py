@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -69,6 +68,16 @@ __all__ = [
     "scr_sweep",
     "resolve_threshold",
 ]
+
+
+def __getattr__(name: str):
+    """``ProcessPoolExecutor`` on first use: a run without a pool skips ``multiprocessing``."""
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor
+
 
 BLOCK_TRIALS = 1 << 16
 _CHUNK_ROWS = 1 << 10  # rows per step of the edge pass: 256 kB of cells at N = 32
@@ -393,7 +402,9 @@ def _point_estimates(batches: Sequence[_TrialBatch], workers: int) -> list[PdEst
     if processes <= 1:
         counts = list(map(_batch_successes, blocks))
     else:
-        with ProcessPoolExecutor(max_workers=processes) as pool:
+        # a class assigned to the module attribute (a test's stand-in) comes first
+        pool_class = globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
+        with pool_class(max_workers=processes) as pool:
             counts = list(pool.map(_batch_successes, blocks))
     totals = [[0] * len(batch.cut_scales) for batch in batches]
     for index, block_counts in zip(owners, counts):

@@ -25,6 +25,7 @@ from cfarkit.analytic import (
     SolverSettings,
     ThresholdSolverError,
     _gm_log_pfa,
+    _gm_quadrature,
     _log_gamma1p,
     ca_pd,
     ca_pfa,
@@ -38,6 +39,8 @@ from cfarkit.analytic import (
     os_pfa,
     os_threshold,
 )
+from cfarkit.detector import OrderStatistic
+from cfarkit.simulation import resolve_threshold
 
 PFA_GRID = (1e-2, 1e-4, 1e-6)
 WINDOW_GRID = (8, 16, 32, 64)
@@ -218,6 +221,14 @@ class TestOsThreshold:
         assert os_threshold(1e-5, 32, 1) == pytest.approx(3199968.0, rel=1e-14)
         assert os_threshold(1e-6, 32, 1) == pytest.approx(31999968.0, rel=1e-14)
 
+    @pytest.mark.parametrize("pfa", [1e-307, 1e-320])
+    def test_minimum_threshold_overflow_is_refused(self, pfa):
+        # N (1 - p) / p exceeds the largest double
+        with pytest.raises(ValueError, match="overflows"):
+            os_threshold(pfa, 32, 1)
+        with pytest.raises(ValueError, match="overflows"):
+            resolve_threshold(OrderStatistic(1), 32, pfa)
+
     def test_iteration_budget_failure_carries_bracket(self):
         settings = SolverSettings(relative_tolerance=1e-12, max_iterations=3)
         with pytest.raises(ThresholdSolverError) as info:
@@ -278,6 +289,31 @@ class TestGeometricMean:
         for p, n in itertools.product((0.999, 1e-2, 1e-5, 1e-8, 1e-12), (1, 2, 32, 1024)):
             tau = gm_threshold(p, n)
             assert abs(gm_pfa(tau, n) - p) / p <= 1e-10, (p, n, tau)
+
+    @pytest.mark.parametrize("n", [1, 32, 1024])
+    @pytest.mark.parametrize("tau", [1e-3, 3.0, 27.0])  # 1e-3: the residue branch
+    def test_slope_matches_finite_difference(self, tau, n):
+        log_pfa, slope = _gm_quadrature(tau, n)
+        assert log_pfa == _gm_log_pfa(tau, n)
+        h = 1e-5
+        diff = (_gm_log_pfa(tau * math.exp(h), n) - _gm_log_pfa(tau * math.exp(-h), n)) / (2 * h)
+        assert slope == pytest.approx(diff, rel=1e-8, abs=0.0)
+
+    def test_threshold_within_mean_and_minimum_bounds(self):
+        # min <= g <= mean puts the root between the minimum's and N times the
+        # CA multiplier; the two meet at N = 1, where rounding of the closed
+        # forms (up to 1e-13 relative near Pfa 1) decides the order
+        for p, n in itertools.product((0.999, 1e-2, 1e-5, 1e-8, 1e-12), (1, 2, 32, 1024)):
+            tau = gm_threshold(p, n)
+            assert n * ca_threshold(p, n) * (1 - 1e-12) <= tau <= n * (1 - p) / p * (1 + 1e-12)
+            if n > 1:
+                assert n * ca_threshold(p, n) < tau < n * (1 - p) / p
+
+    def test_iteration_budget_failure_carries_bracket(self):
+        with pytest.raises(ThresholdSolverError) as info:
+            gm_threshold(1e-5, 32, SolverSettings(max_iterations=1))
+        lo, hi = info.value.bracket
+        assert 0.0 <= lo < hi
 
     def test_frozen_values(self):
         # the same quadrature evaluated with scipy.special.loggamma

@@ -3,9 +3,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cfarkit
 from cfarkit.analytic import (
     ca_pd,
     ca_threshold,
@@ -73,6 +78,14 @@ class TestThresholdCommand:
         code, out, _ = run_cli("threshold", "--stat", "min", *common, capsys=capsys)
         assert code == 0
         assert out == run_cli("threshold", "--stat", "os", "--k", "1", *common, capsys=capsys)[1]
+
+    @pytest.mark.parametrize("pfa", ["1e-307", "1e-320"])
+    def test_min_overflowing_multiplier_fails(self, pfa, capsys):
+        # N (1 - p) / p exceeds the largest double: no finite multiplier to print
+        code, out, err = run_cli("threshold", "--stat", "min", "--window", "32",
+                                 "--pfa", pfa, capsys=capsys)
+        assert code == 1 and out == ""
+        assert err == f"cfarkit: minimum-detector multiplier at Pfa {float(pfa)!r}, N=32 overflows\n"
 
     def test_unknown_stat_fails_with_usage(self, capsys):
         code, _, err = run_cli("threshold", "--stat", "bogus", "--pfa", "0.1", capsys=capsys)
@@ -341,6 +354,19 @@ class TestConfigParsing:
     def test_malformed_line_reports_number(self):
         with pytest.raises(ValueError, match="line 2"):
             RunConfig.from_text("detectors = ca\nnot a pair\n", "pd-curve")
+
+
+class TestImportCost:
+    def test_pool_and_verify_load_only_when_used(self):
+        # a fresh interpreter: pytest's own process may have loaded them already
+        code = ("import sys, cfarkit, cfarkit.cli; "
+                "print([m for m in ('multiprocessing', 'concurrent.futures.process', "
+                "'cfarkit.verify') if m in sys.modules])")
+        src = str(Path(cfarkit.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        assert done.stdout.strip() == "[]"
 
 
 class TestRunPlan:
