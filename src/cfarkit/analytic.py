@@ -123,10 +123,18 @@ def ca_pfa(tau: float, n: int) -> float:
 
 
 def ca_threshold(pfa: float, n: int) -> float:
-    """Multiplier achieving a given cell-averaging Pfa: ``pfa**(-1/n) - 1``."""
+    """Multiplier achieving a given cell-averaging Pfa: ``pfa**(-1/n) - 1``.
+
+    ``expm1`` keeps the digits that the subtraction cancels below 1; above,
+    the power is exact where ``expm1`` would amplify the error of ``log``.
+    """
     _check_pfa(pfa)
     _check_window(n)
-    return pfa ** (-1.0 / n) - 1.0
+    x = -math.log(pfa) / n
+    try:
+        return math.expm1(x) if x < math.log(2.0) else pfa ** (-1.0 / n) - 1.0
+    except OverflowError:
+        raise ValueError(f"cell-averaging multiplier at Pfa {pfa!r}, N={n} overflows") from None
 
 
 def _os_log_prob(u: float, n: int, k: int) -> float:

@@ -140,6 +140,16 @@ class DetectorSpec:
         )
 
 
+_CHUNK_CELLS = 1 << 15  # cells per row chunk (256 kB, 1,024 rows at N = 32); changes no result
+
+
+def _row_chunks(rows: int, n: int):
+    """``(first row, chunk)`` for ``rows`` rows of ``n`` cells, each chunk a view of one buffer."""
+    buf = np.empty((min(max(1, _CHUNK_CELLS // n), rows), n))
+    for start in range(0, rows, len(buf)):
+        yield start, buf[: rows - start]
+
+
 def _stat_rows(stat: StatKind, crp: np.ndarray) -> np.ndarray:
     """Clutter statistic of every row of a (rows, N) CRP matrix.
 
@@ -205,7 +215,8 @@ def slide(profile: np.ndarray, spec: DetectorSpec) -> np.ndarray:
     Returns an int8 array of :class:`Decision` values, one per cell.
     Cells too close to either edge for a complete window are marked
     ``Decision.UNTESTED``; partial windows would change the false-alarm
-    rate, so they are never evaluated.
+    rate, so they are never evaluated.  Windows are copied and reduced one
+    chunk of rows at a time, so memory stays bounded in the profile length.
     """
     profile = np.asarray(profile, dtype=float)
     min_len = spec.window_length + spec.guard_cells + 1
@@ -218,12 +229,13 @@ def slide(profile: np.ndarray, spec: DetectorSpec) -> np.ndarray:
     # row r is the window centred on cell r + reach: lagging bank, guards,
     # CUT, guards, leading bank
     windows = sliding_window_view(profile, 2 * reach + 1)
-    crp = np.concatenate(
-        [windows[:, : spec.half_window], windows[:, reach + spec.guard_per_side + 1 :]], axis=1
-    )
-    g = _stat_rows(spec.stat, crp)
-    if not np.all(np.isfinite(g)):
-        raise ValueError("clutter statistic overflows double precision")
     out = np.full(profile.size, Decision.UNTESTED, dtype=np.int8)
-    out[reach : profile.size - reach] = windows[:, reach] > spec.threshold_multiplier * g
+    for start, crp in _row_chunks(len(windows), spec.window_length):
+        rows = windows[start : start + len(crp)]
+        banks = [rows[:, : spec.half_window], rows[:, reach + spec.guard_per_side + 1 :]]
+        g = _stat_rows(spec.stat, np.concatenate(banks, axis=1, out=crp))
+        if not np.all(np.isfinite(g)):
+            raise ValueError("clutter statistic overflows double precision")
+        g *= spec.threshold_multiplier
+        out[reach + start : reach + start + len(rows)] = rows[:, reach] > g
     return out

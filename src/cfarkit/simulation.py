@@ -8,13 +8,14 @@ draws every sample once from the substream ``stream.substream(b)``, and
 every point of the batch is counted on those samples (common random
 numbers), so the rows of one curve are positively correlated, each row
 is still binomial, and Pd never decreases along an SCR grid.  Within a
-block the draw order is: CRP matrix, then CUT vector, each divided by
-the clutter rate; nothing else is drawn.  A batch of one point is a
-single estimate.  A batch with one cell scaling (an SCR grid, an
-estimate) computes the clutter statistic once per block; a clutter-edge
-batch screens each block once per CUT scale and evaluates every affected
-count, from running sums and counts along the cells, on the trials the
-screen keeps.  Per-block success counts are
+block the draw order is: CUT vector, then CRP matrix row by row, each
+divided by the clutter rate; nothing else is drawn.  A block draws and
+consumes its CRP one chunk of rows at a time, never holding the matrix.
+A batch of one point is a single estimate.  A batch with one cell
+scaling (an SCR grid, an estimate) computes the clutter statistic once
+per trial; a clutter-edge batch screens each chunk once per CUT scale
+and evaluates every affected count, from running sums and counts along
+the cells, on the trials the screen keeps.  Per-block success counts are
 combined by exact integer addition, so results are identical for any
 worker count and any scheduling order.
 
@@ -49,9 +50,11 @@ from .detector import (
     OrderStatistic,
     StatKind,
     Sum,
+    _row_chunks,
     _stat_rows,
 )
 from .stats import ClutterModel, RandomStream, TargetContext, db_to_linear, unit_exponential
+from .stats import _unit_exponential_into
 
 __all__ = [
     "BLOCK_TRIALS",
@@ -80,7 +83,6 @@ def __getattr__(name: str):
 
 
 BLOCK_TRIALS = 1 << 16
-_CHUNK_ROWS = 1 << 10  # rows per step of the edge pass: 256 kB of cells at N = 32
 _SCREEN_SLACK = 2.0**-30  # relative margin of the sum and GM edge screens
 
 
@@ -242,59 +244,71 @@ class _TrialBatch:
     cells: tuple[float, ...] | _Edge = ()
 
 
+def _crp_chunks(gen: np.random.Generator, trials: int, n: int, rate: float):
+    """``(first row, rows)`` of the CRP, drawn in order into the buffer of :func:`_row_chunks`."""
+    for start, x in _row_chunks(trials, n):
+        _unit_exponential_into(gen, x)
+        x /= rate
+        yield start, x
+
+
 def _batch_successes(batch: _TrialBatch) -> list[int]:
     """Successes of every point of ``batch`` on one draw of its trials.
 
-    With one cell scaling the clutter statistic is computed once, in place
-    on the draw; an edge batch goes through :func:`_edge_successes`.
+    The CUT vector comes first, then the CRP chunks; with one cell scaling
+    each chunk is reduced to its statistics, and an edge batch goes through
+    :func:`_edge_successes`.
     """
     gen = batch.stream.generator()
-    crp = unit_exponential(gen, (batch.trials, batch.spec.window_length))
-    crp /= batch.rate
     cut = unit_exponential(gen, batch.trials)
     cut /= batch.rate
+    chunks = _crp_chunks(gen, batch.trials, batch.spec.window_length, batch.rate)
     if isinstance(batch.cells, _Edge):
-        return _edge_successes(batch, crp, cut)
-    if batch.cells:
-        crp *= batch.cells
-    limit = _stat_rows(batch.spec.stat, crp)
+        return _edge_successes(batch, chunks, cut)
+    limit = np.empty(batch.trials)
+    for start, x in chunks:
+        if batch.cells:
+            x *= batch.cells
+        limit[start : start + len(x)] = _stat_rows(batch.spec.stat, x)
     limit *= batch.spec.threshold_multiplier
     return [int(np.count_nonzero(cut * c > limit)) for c in batch.cut_scales]
 
 
-def _edge_successes(batch: _TrialBatch, crp: np.ndarray, cut: np.ndarray) -> list[int]:
-    """Successes at every point of a clutter edge, in one pass over the draw.
+def _edge_successes(batch: _TrialBatch, chunks, cut: np.ndarray) -> list[int]:
+    """Successes at every point of a clutter edge, in one pass over the CRP ``chunks``.
 
     Point ``p`` boosts the first ``j = counts[p]`` cells by ``B``.  Points
     that share a CUT scale form a group.  ``B >= 1`` and every statistic is
     nondecreasing in every cell, so a trial that fires at any count of a
     group fires at the group's smallest count ``j_min``.  A screen
-    (:func:`_edge_screen`) decides every trial at ``j_min``, ``_CHUNK_ROWS``
-    rows at a time, and only the trials it keeps (under 1% at design Pfa
-    1e-3) go through the per-count evaluation (:func:`_edge_hits`), in
-    chunks of the same size.  A kept trial gets the same verdicts as in a
-    pass over every trial, so the screen changes no count.  The geometric
-    mean takes the logs of the draw in place.
+    (:func:`_edge_screen`) decides each chunk's trials at ``j_min``; only
+    those it keeps (under 1% at design Pfa 1e-3) are set aside, and once a
+    chunk's worth waits, and at the end, go through the per-count
+    evaluation (:func:`_edge_hits`).  A kept trial gets the same verdicts as
+    in a pass over every trial, so the screen changes no count.  The
+    geometric mean takes the logs of each chunk in place.
     """
-    stat, boost = batch.spec.stat, batch.cells.boost
+    spec, boost = batch.spec, batch.cells.boost
     counts = np.asarray(batch.cells.counts, dtype=np.intp)
     scales = np.asarray(batch.cut_scales)
+    groups = [np.flatnonzero(scales == scale) for scale in np.unique(scales)]
+    kept = [([], []) for _ in groups]  # per group: screened rows and CUTs not yet evaluated
     hits = np.zeros(len(counts), dtype=np.int64)
-    if isinstance(stat, GeometricMean):  # a zero cell sends the log sum to -inf and g to 0
-        with np.errstate(divide="ignore"):
-            crp = np.log(crp, out=crp).sum(axis=1)
-    for scale in np.unique(scales):
-        members = np.flatnonzero(scales == scale)
-        zc = cut * scale
-        j_min = counts[members].min()
-        kept = np.flatnonzero(np.concatenate([
-            _edge_screen(batch.spec, boost, crp[r : r + _CHUNK_ROWS], zc[r : r + _CHUNK_ROWS],
-                         j_min)
-            for r in range(0, len(cut), _CHUNK_ROWS)
-        ]))
-        for r in range(0, len(kept), _CHUNK_ROWS):
-            rows = kept[r : r + _CHUNK_ROWS]
-            hits[members] += _edge_hits(batch.spec, boost, crp[rows], zc[rows], counts[members])
+    for start, x in chunks:
+        if isinstance(spec.stat, GeometricMean):  # a zero cell sends the log sum to -inf, g to 0
+            with np.errstate(divide="ignore"):
+                x = np.log(x, out=x).sum(axis=1)
+        end = start + len(x)
+        for members, (xs, zcs) in zip(groups, kept):
+            zc = cut[start:end] * scales[members[0]]
+            keep = _edge_screen(spec, boost, x, zc, counts[members].min())
+            xs.append(x[keep])
+            zcs.append(zc[keep])
+            if end == len(cut) or sum(map(len, zcs)) >= len(x):
+                waiting = np.concatenate(xs), np.concatenate(zcs)
+                xs.clear()
+                zcs.clear()
+                hits[members] += _edge_hits(spec, boost, *waiting, counts[members])
     return hits.tolist()
 
 

@@ -14,6 +14,7 @@ exponentials, built from the binomial form of the order-statistic
 density, a route that never touches the log-gamma code under test.
 """
 
+import decimal
 import itertools
 import math
 
@@ -78,6 +79,16 @@ class TestCellAveraging:
         # (1 + tau/11)**-32 at the design threshold: 0.38449445211841579222
         tau = ca_threshold(1e-4, 32)
         assert ca_pd(tau, 10.0, 32) == pytest.approx(0.3844944521184158, rel=1e-11)
+
+    @pytest.mark.parametrize(
+        "pfa, n", [(0.999, 1), (1 - 1e-9, 1024), (0.5, 16), (1e-4, 32), (1e-30, 2), (1e-300, 1)]
+    )
+    def test_threshold_against_decimal_oracle(self, pfa, n):
+        # pfa**(-1/n) - 1 to 40 digits from the exact binary value of pfa: near
+        # Pfa 1 the subtraction cancels, near 0 log(pfa) carries a large error
+        ctx = decimal.Context(prec=40)
+        exact = ctx.subtract(ctx.power(decimal.Decimal(pfa), ctx.divide(-1, n)), 1)
+        assert abs(ctx.divide(decimal.Decimal(ca_threshold(pfa, n)), exact) - 1) <= 1e-15
 
     def test_pfa_is_pd_at_zero_scr(self):
         for tau, n in itertools.product((0.1, 0.5, 2.0), WINDOW_GRID):

@@ -87,6 +87,13 @@ class TestThresholdCommand:
         assert code == 1 and out == ""
         assert err == f"cfarkit: minimum-detector multiplier at Pfa {float(pfa)!r}, N=32 overflows\n"
 
+    def test_ca_overflowing_multiplier_fails(self, capsys):
+        # 1e-320 ** -1 - 1 exceeds the largest double
+        code, out, err = run_cli("threshold", "--stat", "ca", "--window", "1",
+                                 "--pfa", "1e-320", capsys=capsys)
+        assert code == 1 and out == ""
+        assert err == "cfarkit: cell-averaging multiplier at Pfa 1e-320, N=1 overflows\n"
+
     def test_unknown_stat_fails_with_usage(self, capsys):
         code, _, err = run_cli("threshold", "--stat", "bogus", "--pfa", "0.1", capsys=capsys)
         assert code == 1 and "usage" in err.lower()

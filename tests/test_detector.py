@@ -1,10 +1,13 @@
 """Clutter statistics, the threshold test, and sliding-window detection."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import cfarkit
+from cfarkit import detector
 from cfarkit.analytic import os_threshold
 from cfarkit.detector import (
     Decision,
@@ -151,6 +154,10 @@ def test_caller_arrays_left_unchanged(stat):
     np.testing.assert_array_equal(profile, profile_before)
 
 
+SLIDE_CASES = [(Sum(), 0.4), (OrderStatistic(24), 3.0), (Minimum(), 30.0), (GeometricMean(), 8.0)]
+SLIDE_IDS = ["sum", "os24", "min", "gm"]
+
+
 class TestSlide:
     def test_constant_profile_all_h0(self):
         spec = DetectorSpec(Sum(), 4, 1.0, guard_cells=4)
@@ -184,28 +191,57 @@ class TestSlide:
         with pytest.raises(ValueError):
             slide(np.ones(12), spec)  # needs N + guard + 1 = 13
 
-    @pytest.mark.parametrize(
-        "stat, tau",
-        [(Sum(), 0.4), (OrderStatistic(24), 3.0), (Minimum(), 30.0), (GeometricMean(), 8.0)],
-        ids=["sum", "os24", "min", "gm"],
-    )
+    @staticmethod
+    def edged_profile(rng, size):
+        # clutter edges: piecewise-constant power steps of 0 to 20 dB
+        power = 10.0 ** rng.choice([0.0, 0.5, 1.0, 2.0], size=5)
+        return rng.exponential(size=size) * np.repeat(power, -(-size // 5))[:size]
+
+    @staticmethod
+    def per_cell_reference(profile, spec):
+        # one clutter_statistic and one decide per testable cell
+        reach, gs = spec.reach, spec.guard_per_side
+        expected = np.full(profile.size, Decision.UNTESTED, dtype=np.int8)
+        for i in range(reach, profile.size - reach):
+            crp = np.concatenate(
+                [profile[i - reach : i - gs], profile[i + gs + 1 : i + reach + 1]]
+            )
+            expected[i] = decide(profile[i], clutter_statistic(spec.stat, crp),
+                                 spec.threshold_multiplier)
+        return expected
+
+    @pytest.mark.parametrize("stat, tau", SLIDE_CASES, ids=SLIDE_IDS)
     def test_matches_per_cell_reference(self, stat, tau):
-        # reference: one clutter_statistic and one decide per testable cell
         rng = np.random.default_rng(11)
         spec = DetectorSpec(stat, 32, tau, guard_cells=8)
-        reach, gs = spec.reach, spec.guard_per_side
         for _ in range(10):
-            size = int(rng.integers(41, 2000))
-            # clutter edges: piecewise-constant power steps of 0 to 20 dB
-            power = 10.0 ** rng.choice([0.0, 0.5, 1.0, 2.0], size=5)
-            profile = rng.exponential(size=size) * np.repeat(power, -(-size // 5))[:size]
-            expected = np.full(size, Decision.UNTESTED, dtype=np.int8)
-            for i in range(reach, size - reach):
-                crp = np.concatenate(
-                    [profile[i - reach : i - gs], profile[i + gs + 1 : i + reach + 1]]
-                )
-                expected[i] = decide(profile[i], clutter_statistic(stat, crp), tau)
+            profile = self.edged_profile(rng, int(rng.integers(41, 2000)))
+            expected = self.per_cell_reference(profile, spec)
             np.testing.assert_array_equal(slide(profile, spec), expected)
+
+    @pytest.mark.parametrize("rows", [7, None, 10**6], ids=["7", "default", "whole"])
+    @pytest.mark.parametrize("stat, tau", SLIDE_CASES, ids=SLIDE_IDS)
+    def test_chunk_size_never_changes_decisions(self, stat, tau, rows, monkeypatch):
+        # 4,460 tested cells: 7 rows leave a partial last chunk, the default
+        # (1,024 rows at N = 32) makes five chunks and 10**6 rows make one
+        if rows is not None:
+            monkeypatch.setattr(detector, "_CHUNK_CELLS", 32 * rows)
+        spec = DetectorSpec(stat, 32, tau, guard_cells=8)
+        profile = self.edged_profile(np.random.default_rng(12), 4500)
+        np.testing.assert_array_equal(slide(profile, spec), self.per_cell_reference(profile, spec))
+
+    def test_memory_bounded_by_one_chunk(self):
+        # the profile (8 MB) and the decisions (1 MB) are the output's own
+        # size; a (cells, N) CRP matrix would be 256 MB
+        profile = np.random.default_rng(13).exponential(size=10**6)
+        spec = DetectorSpec(OrderStatistic(24), 32, 3.0, guard_cells=8)
+        tracemalloc.start()
+        try:
+            slide(profile, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6, peak
 
     def test_guard_cells_never_enter_the_clutter_estimate(self):
         # N = 4, one guard cell per side: the CUT at 10 uses cells 7, 8 and

@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cfarkit import simulation
+from cfarkit import detector, simulation
 from cfarkit.analytic import ca_pd, ca_threshold, gm_threshold, os_threshold
 from cfarkit.detector import DetectorSpec, GeometricMean, Minimum, OrderStatistic, Sum
 from cfarkit.simulation import (
@@ -39,11 +39,11 @@ def within(est: PdEstimate, expect: float, z: float = 4.0) -> bool:
 
 
 def reference_block(spec, cut_scale, cell_scales, trials, stream, rate=1.0) -> int:
-    """Successes of one block drawn as documented: CRP, then CUT, each over ``rate``."""
+    """Successes of one block drawn as documented: CUT, then CRP, each over ``rate``."""
     n, stat = spec.window_length, spec.stat
     gen = stream.generator()
-    crp = -np.log1p(-gen.random((trials, n))) / rate * np.asarray(cell_scales)
     cut = -np.log1p(-gen.random(trials)) / rate * cut_scale
+    crp = -np.log1p(-gen.random((trials, n))) / rate * np.asarray(cell_scales)
     if isinstance(stat, Sum):
         g = crp[:, : n // 2].sum(axis=1) + crp[:, n // 2 :].sum(axis=1)
     elif isinstance(stat, OrderStatistic):
@@ -111,19 +111,19 @@ class TestStreamFingerprint:
         target = TargetContext.from_db(3.0)
         hits = [estimate_pd(spec, CLUTTER, target, self.INTER, self.RUNS, 2026).successes
                 for spec in STATS_16]
-        assert hits == [3186, 7234, 1784, 6799]
+        assert hits == [3182, 7339, 1787, 6792]
 
     def test_pfa_regulation_curve(self):
         reg = RegulationSpec(1e-2, self.RUNS, 10.0, affected_counts=(0, 8, 9, 16))
         hits = [[est.successes for _, est in pfa_regulation_curve(spec, CLUTTER, reg, 2026)]
                 for spec in STATS_16]
-        assert hits == [[660, 0, 4150, 660], [714, 0, 3931, 714], [692, 358, 3320, 692],
-                        [734, 2, 10159, 734]]
+        assert hits == [[701, 0, 4156, 701], [718, 0, 4072, 718], [691, 375, 3296, 691],
+                        [717, 2, 10239, 717]]
 
     def test_scr_sweep(self):
         exp = ExperimentSpec(STATS_16, CLUTTER, (0.0, 10.0), self.RUNS, 2026, self.INTER)
         hits = [[est.successes for est in curve.estimates] for curve in scr_sweep(exp)]
-        assert hits == [[1062, 25984], [2912, 35869], [1195, 6273], [2580, 35094]]
+        assert hits == [[1015, 26016], [2790, 36011], [1206, 6357], [2521, 35219]]
 
 
 class TestPdEstimate:
@@ -457,19 +457,63 @@ class TestCommonRandomNumbers:
             hits = [est.successes for est in curve.estimates]
             assert hits == sorted(hits), curve.detector.stat
 
+    @pytest.mark.parametrize("kind", ["edge", "interference"])
     @pytest.mark.parametrize("spec", STATS_16, ids=STAT_IDS)
-    def test_block_holds_one_crp_matrix_and_row_chunks(self, spec):
-        reg = RegulationSpec(1e-2, BLOCK_TRIALS, 10.0)
-        _, batch = simulation._regulation_points(spec, CLUTTER, reg, RandomStream(87))
+    def test_block_holds_row_chunks_not_the_crp_matrix(self, spec, kind):
+        if kind == "edge":
+            _, batch = simulation._regulation_points(
+                spec, CLUTTER, RegulationSpec(1e-2, BLOCK_TRIALS, 10.0), RandomStream(87)
+            )
+        else:
+            batch = simulation._detection_batch(
+                spec, CLUTTER, [None, TargetContext.from_db(10.0)],
+                InterferenceSpec(2, 10.0, FixedCells((1, 5))), BLOCK_TRIALS, RandomStream(87),
+            )
         matrix = BLOCK_TRIALS * spec.window_length * 8
+        simulation._batch_successes(batch)  # the first call's lazy imports are not the block's
         tracemalloc.start()
         try:
             simulation._batch_successes(batch)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the draw, plus the edge pass's temporaries for one chunk of rows
-        assert peak < 1.5 * matrix, peak / matrix
+        # trials-long vectors (the CUT, and a detection block's limits and
+        # counts; 1/N of the matrix each), one chunk of rows, and the
+        # temporaries of a chunk and of the edge screen's kept rows
+        assert peak < 0.25 * matrix, peak / matrix
+
+
+class TestChunkSize:
+    """The CRP chunk size bounds a block's memory and never changes a count."""
+
+    RUNS = 20_000  # one block: 7-row chunks leave a partial last chunk
+
+    @staticmethod
+    def at_each_size(monkeypatch, run):
+        results = [run()]
+        for rows in (7, BLOCK_TRIALS):
+            monkeypatch.setattr(detector, "_CHUNK_CELLS", 16 * rows)
+            results.append(run())
+        return results
+
+    @pytest.mark.parametrize("spec", STATS_16, ids=STAT_IDS)
+    def test_detection_counts(self, spec, monkeypatch):
+        exp = ExperimentSpec((spec,), CLUTTER, (0.0, 10.0), self.RUNS, 91,
+                             InterferenceSpec(2, 10.0, FixedCells((1, 5))))
+        default, *others = self.at_each_size(monkeypatch, lambda: scr_sweep(exp))
+        assert others == [default] * 2
+
+    @pytest.mark.parametrize("case", SCREEN_CASES)
+    @pytest.mark.parametrize("spec", STATS_16, ids=STAT_IDS)
+    def test_edge_counts(self, spec, case, monkeypatch):
+        counts, boost_db, rate = SCREEN_CASES[case]
+        if case == "pfa1":
+            spec = replace(spec, threshold_multiplier=0.0)
+        reg = RegulationSpec(1e-2, self.RUNS, boost_db, affected_counts=counts)
+        default, *others = self.at_each_size(
+            monkeypatch, lambda: pfa_regulation_curve(spec, ClutterModel(rate), reg, 92)
+        )
+        assert others == [default] * 2
 
 
 class TestRunPlan:
