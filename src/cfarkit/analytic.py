@@ -9,24 +9,26 @@ Cell averaging (sum statistic over ``N`` cells, multiplier ``tau``)::
     Pd  = (1 + tau/(1+S)) ** -N
     Pfa = (1 + tau) ** -N              # S = 0
 
-Order statistic (k-th smallest of ``N``)::
+Order statistic (k-th smallest of ``N``), Rohling's product form::
 
-    Pd  = N!/(N-k)! * G(u + N - k + 1) / G(u + N + 1),   u = tau/(1+S)
+    Pd  = prod_{i=N-k+1..N} i / (i + u),   u = tau/(1+S)
     Pfa = same with u = tau
 
-with ``G`` the gamma function.  Both are evaluated purely in log space:
-``G(tau + N + 1)`` overflows double precision for modest ``N``, while the
-log-gamma differences stay small and well conditioned.
+Its log is a sum of k terms ``-log1p(u/i)`` of one sign, which neither
+cancels nor overflows; the minimum (k = 1) is its one factor ``N/(N+u)``.
 
 Geometric mean (``g = (X_1 ... X_N)**(1/N)``)::
 
     Pfa = E[exp(-tau g)] = (1/2 pi i) * integral G(s) tau**-s G(1 - s/N)**N ds
     Pd  = Pfa at tau/(1+S)
 
-on a line ``Re s = c``, ``0 < c < N``: the Mellin-Barnes form of
-``exp(-x)`` with ``E[g**-s] = G(1 - s/N)**N``.  It is evaluated by one
-trapezoid sum in log space, which stops once the integrand has decayed
-and also gives ``d log Pfa / d log tau`` for Newton steps in ``log tau``.
+with ``G`` the gamma function, on a line ``Re s = c``, ``0 < c < N``:
+the Mellin-Barnes form of ``exp(-x)`` with ``E[g**-s] = G(1 - s/N)**N``.
+It is evaluated by one trapezoid sum in log space, which stops once the
+integrand has decayed and also gives ``d log Pfa / d log tau``.
+
+The OS and GM thresholds come from one solver: Newton steps in
+``log tau`` inside a bracket of the root that each Pfa supplies.
 
 The ideal detector compares the CUT against the fixed level
 ``-ln(Pfa)/lambda``, which requires exact knowledge of ``lambda`` and so
@@ -62,7 +64,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Controls for the threshold solver (regula falsi for OS, Newton for GM).
+    """Controls for the threshold solver (bracketed Newton in ``log tau``, OS and GM).
 
     ``relative_tolerance`` bounds the relative false-alarm residual at the
     returned threshold; ``max_iterations`` counts Pfa evaluations.
@@ -137,17 +139,14 @@ def ca_threshold(pfa: float, n: int) -> float:
         raise ValueError(f"cell-averaging multiplier at Pfa {pfa!r}, N={n} overflows") from None
 
 
-def _os_log_prob(u: float, n: int, k: int) -> float:
-    """log of the order-statistic exceedance probability at shifted multiplier u."""
-    if k == 1:
-        # N/(N+u): the log-gamma differences below cancel catastrophically
-        return -math.log1p(u / n)
-    return (
-        math.lgamma(n + 1)
-        - math.lgamma(n - k + 1)
-        + math.lgamma(u + n - k + 1)
-        - math.lgamma(u + n + 1)
-    )
+def _os_log_prob(u: float, n: int, k: int) -> tuple[float, float]:
+    """log Pfa of the k-th smallest of N at multiplier ``u``, and ``d log Pfa / d log u``.
+
+    Rohling's product ``prod_{i=N-k+1..N} i/(i + u)`` has k positive
+    factors, so its log is a sum of ``-log1p(u/i)`` without cancellation.
+    """
+    x = u / np.arange(n - k + 1, n + 1.0)
+    return -float(np.log1p(x).sum()), -float((x / (1.0 + x)).sum())
 
 
 def _check_os_index(k: int, n: int) -> None:
@@ -156,12 +155,12 @@ def _check_os_index(k: int, n: int) -> None:
 
 
 def os_pd(tau: float, scr: float, n: int, k: int) -> float:
-    """Order-statistic detection probability via log-gamma differences."""
+    """Order-statistic detection probability: the product form at ``tau/(1+scr)``."""
     _check_tau(tau)
     _check_scr(scr)
     _check_window(n)
     _check_os_index(k, n)
-    return math.exp(_os_log_prob(tau / (1.0 + scr), n, k))
+    return math.exp(_os_log_prob(tau / (1.0 + scr), n, k)[0])
 
 
 def os_pfa(tau: float, n: int, k: int) -> float:
@@ -174,18 +173,21 @@ def os_threshold(
 ) -> float:
     """Invert the order-statistic Pfa for the threshold multiplier.
 
-    The minimum (``k == 1``) has Pfa ``N/(N+tau)`` and is inverted in
-    closed form; every other index goes through the bracketed solver.
+    Each factor ``i/(i + tau)`` lies between ``(N-k+1)/(N-k+1 + tau)`` and
+    ``N/(N + tau)``, so the root lies between ``N-k+1`` and ``N`` times the
+    CA multiplier of k cells.  The edges meet at k = 1, the minimum.
     """
     _check_pfa(pfa)
     _check_window(n)
     _check_os_index(k, n)
-    if k == 1:
-        tau = n * (1.0 - pfa) / pfa
-        if math.isinf(tau):
-            raise ValueError(f"minimum-detector multiplier at Pfa {pfa!r}, N={n} overflows")
-        return tau
-    return _solve_threshold(lambda tau: _os_log_prob(tau, n, k), pfa, settings)
+    try:
+        unit = ca_threshold(pfa, k)  # (1 + unit)**-k = pfa
+    except ValueError:  # overflows only at k = 1
+        unit = math.inf
+    if math.isinf(n * unit):
+        raise ValueError(f"minimum-detector multiplier at Pfa {pfa!r}, N={n} overflows")
+    bracket = ((n - k + 1) * unit, n * unit)
+    return _solve_threshold(lambda tau: _os_log_prob(tau, n, k), pfa, settings, bracket)
 
 
 # Stirling-series coefficients B_2j / (2j (2j - 1)), j = 1..7, summed by
@@ -222,14 +224,12 @@ def _log_gamma1p(x: np.ndarray) -> np.ndarray:
 
 
 # Trapezoid rule on the upper half of the contour (the integrand is conjugate
-# symmetric): nodes Im s = 0, h, ..., 60, weights h/pi halved at 0.  A contour
+# symmetric): nodes Im s = 0, h, 2h, ..., weights h/pi halved at 0.  A contour
 # 0.1 or more from the poles at s = -1, 0 and N bounds the error by
 # exp(-2 pi 0.1 / h) of the integrand's size.  Its modulus falls with |Im s|,
-# so chunks of 1280 nodes (Im s = 25.6, enough for N <= 64) are summed until
-# it has decayed.
-_GM_STEP = 0.02
-_GM_NODES = 1j * np.arange(0.0, 60.0 + _GM_STEP / 2, _GM_STEP)
-_GM_WEIGHTS = np.where(_GM_NODES == 0, 0.5, 1.0) * _GM_STEP / math.pi
+# so chunks of 1280 nodes (Im s = 25.6, enough for N <= 64) are built and
+# summed until it has decayed, up to Im s = 2048.
+_GM_STEP, _GM_CHUNK, _GM_NODES = 0.02, 1280, 102400
 
 
 def _gm_log_pfa(tau: float, n: int) -> float:
@@ -247,8 +247,9 @@ def _gm_quadrature(tau: float, n: int) -> tuple[float, float]:
     and the residue 1 is added: the line then carries ``Pfa - 1`` to full
     relative precision.  ``1 >= Pfa >= 1 - tau``, so below ``tau = 1e-30``
     the log Pfa is returned as 0.  The slope weights the same terms by
-    ``-s``.  A sum whose integrand has not decayed by ``Im s = 60``, or that
-    cancels by more than six digits, is refused: N = 1024 below Pfa 1e-15.
+    ``-s``.  A sum whose integrand has not decayed by ``Im s = 2048``, or
+    that cancels by more than six digits, is refused: N <= 4 at some Pfas
+    below 1e-15.
     """
     if tau <= 1e-30:
         return 0.0, 0.0
@@ -266,11 +267,12 @@ def _gm_quadrature(tau: float, n: int) -> tuple[float, float]:
     residue = log_peak(0.25) <= log_peak(0.26)  # the saddle lies left of about 0.25
     c = saddle(-0.9, -0.1) if residue else saddle(0.25, n - 0.25)
     peak, parts = log_peak(c), []  # log |integrand| at Im s = 0
-    for start in range(0, _GM_NODES.size, 1280):
-        s = c + _GM_NODES[start:start + 1280]
+    for start in range(0, _GM_NODES, _GM_CHUNK):
+        j = np.arange(start, start + _GM_CHUNK)
+        s = c + 1j * (_GM_STEP * j)
         log_g = _log_gamma1p(np.concatenate((s, -s / n)))
         log_f = log_g[:s.size] - np.log(s) + n * log_g[s.size:] - s * log_tau
-        parts.append(_GM_WEIGHTS[start:start + s.size] * np.exp(log_f - peak))
+        parts.append(np.where(j == 0, 0.5, 1.0) * _GM_STEP / math.pi * np.exp(log_f - peak))
         if abs(parts[-1][-1]) < 1e-16 * abs(parts[0].real.sum()):
             break
     terms = np.concatenate(parts)
@@ -278,7 +280,7 @@ def _gm_quadrature(tau: float, n: int) -> tuple[float, float]:
     trusted = abs(terms[-1]) < 1e-16 * total and np.abs(terms).sum() < 1e6 * total
     if not (total > 0.0 and trusted):
         raise ValueError(f"geometric-mean Pfa at tau={tau!r}, N={n} is beyond the quadrature")
-    slope = -float(((c + _GM_NODES[:terms.size]) * terms).real.sum())
+    slope = -float(((c + 1j * (_GM_STEP * np.arange(terms.size))) * terms).real.sum())
     if residue:
         log_pfa = math.log1p(-total * math.exp(peak))
         return log_pfa, slope * math.exp(peak - log_pfa)
@@ -311,70 +313,41 @@ def gm_threshold(pfa: float, n: int, settings: SolverSettings = SolverSettings()
     return _solve_threshold(lambda tau: _gm_quadrature(tau, n), pfa, settings, (lo, hi))
 
 
-def _solve_threshold(log_prob, pfa: float, settings: SolverSettings, bracket=None) -> float:
-    """Solve ``log_prob(tau) = log(pfa)`` for ``tau >= 0``, ``0 < pfa <= 1``.
+def _solve_threshold(log_prob, pfa: float, settings: SolverSettings, bracket) -> float:
+    """Solve ``log Pfa(tau) = log(pfa)`` for ``tau`` in ``bracket``, ``0 < pfa <= 1``.
 
-    ``log_prob`` is continuous and strictly decreasing from 0 at ``tau = 0``,
-    so ``pfa = 1`` has the root 0.  Given a ``bracket`` of the root,
-    ``log_prob`` also returns ``d log Pfa / d log tau`` for Newton steps in
-    ``log tau`` from its lower edge, with bisection for a step that leaves
-    it.  Otherwise the root is bracketed by doubling from 1, then polished
-    by regula falsi safeguarded by bisection.  Either way the solve stops
-    when the relative Pfa residual is within ``settings.relative_tolerance``
-    or the bracket collapses to machine precision.  Exhausting the
+    ``log_prob(tau)`` returns ``log Pfa`` and ``d log Pfa / d log tau``;
+    ``log Pfa`` is continuous and strictly decreasing from 0 at ``tau = 0``,
+    so ``pfa = 1`` has the root 0.  Newton steps in ``log tau`` start from
+    the lower edge, with bisection in ``log tau`` for a step that leaves
+    the bracket.  The solve stops when the relative Pfa residual is within
+    ``settings.relative_tolerance`` or the bracket is within machine
+    precision, at once for a bracket of zero width.  Exhausting the
     iteration budget raises :class:`ThresholdSolverError` with the last bracket.
     """
     if pfa == 1.0:
         return 0.0
     log_pfa = math.log(pfa)
-
-    def residual(tau: float) -> float:
-        # log-space residual; strictly decreasing in tau
-        return log_prob(tau) - log_pfa
-
-    lo, hi = bracket or (0.0, 1.0)
-    iterations, cand, f_best = 0, lo, math.inf
-    if not bracket:
-        f_lo, f_hi = -log_pfa, residual(hi)
-        while f_hi > 0.0:
-            iterations += 1
-            if iterations >= settings.max_iterations:
-                raise ThresholdSolverError("bracket growth exhausted iterations", (lo, hi))
-            lo, f_lo = hi, f_hi
-            hi *= 2.0
-            f_hi = residual(hi)
-        best, f_best = (lo, f_lo) if abs(f_lo) < abs(f_hi) else (hi, f_hi)
-
-    use_bisection = False
-    while iterations < settings.max_iterations:
-        iterations += 1
-        if bracket:
-            f_cand, slope = log_prob(cand)
-            f_cand -= log_pfa
-        else:
-            # Alternate regula falsi with plain bisection: falsi gives fast
-            # convergence on this smooth monotone residual, bisection guarantees
-            # the bracket collapses even when falsi stalls one-sided.
-            cand = lo + f_lo * (hi - lo) / (f_lo - f_hi)
-            if use_bisection or not (lo < cand < hi):
-                cand = 0.5 * (lo + hi)
-            use_bisection = not use_bisection
-            f_cand = residual(cand)
+    lo, hi = bracket
+    cand, best, f_best = lo, lo, math.inf
+    for _ in range(settings.max_iterations):
+        if hi - lo <= 4.0 * math.ulp(hi):
+            return best
+        f_cand, slope = log_prob(cand)
+        f_cand -= log_pfa
         if abs(f_cand) < abs(f_best):
             best, f_best = cand, f_cand
         # |expm1(log residual)| is the relative Pfa error at the candidate.
         if abs(math.expm1(f_cand)) <= settings.relative_tolerance:
             return cand
         if f_cand > 0.0:
-            lo, f_lo = cand, f_cand
+            lo = cand
         else:
-            hi, f_hi = cand, f_cand
-        if hi - lo <= 4.0 * math.ulp(hi):
-            return best
-        if bracket:  # a Newton step in log tau, else bisection in log tau
-            cand *= math.exp(min(-f_cand / min(slope, -1e-300), 700.0))
-            if not lo < cand < hi:
-                cand = math.sqrt(lo) * math.sqrt(hi)
+            hi = cand
+        # a Newton step in log tau, else bisection in log tau
+        cand *= math.exp(min(-f_cand / min(slope, -1e-300), 700.0))
+        if not lo < cand < hi:
+            cand = math.sqrt(lo) * math.sqrt(hi)
     raise ThresholdSolverError("threshold solver failed to converge", (lo, hi))
 
 

@@ -583,9 +583,9 @@ def resolve_threshold(
 ) -> float:
     """Threshold multiplier achieving ``design_pfa`` for any statistic kind.
 
-    Every statistic has an exact Pfa: a closed form for the sum, a
-    log-gamma expression for order statistics (closed form at ``k = 1``,
-    the minimum) and a Mellin-Barnes quadrature for the geometric mean.
+    Every statistic has an exact Pfa: a closed form for the sum, Rohling's
+    product of k factors for order statistics (the minimum, ``k = 1``, is
+    no special case) and a Mellin-Barnes quadrature for the geometric mean.
     """
     if isinstance(stat, Sum):
         return ca_threshold(design_pfa, window)

@@ -107,9 +107,9 @@ def _round_trip(pfa_of, threshold_of, bound: float) -> tuple[bool, str]:
 def _check_os_round_trip() -> tuple[bool, str]:
     worst = 0.0
     for p, n in itertools.product((1e-2, 1e-4, 1e-6), (8, 16, 32, 64)):
-        for k in (n // 2, n - 1, n):
+        for k in (1, 2, n // 2, n - 1, n):
             worst = max(worst, abs(os_pfa(os_threshold(p, n, k), n, k) - p) / p)
-    return worst <= 1e-8, f"worst relative residual {worst:.2e} (bound 1e-8)"
+    return worst <= 1e-12, f"worst relative residual {worst:.2e} (bound 1e-12)"
 
 
 def _check_exchangeability() -> tuple[bool, str]:

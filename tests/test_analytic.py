@@ -11,17 +11,19 @@ The quadrature oracle integrates
 
 with f_(k) the density of the k-th order statistic of N unit
 exponentials, built from the binomial form of the order-statistic
-density, a route that never touches the log-gamma code under test.
+density, a route that never touches the product form under test.
 """
 
 import decimal
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
 from scipy import integrate, special
 
+from cfarkit import analytic
 from cfarkit.analytic import (
     SolverSettings,
     ThresholdSolverError,
@@ -40,6 +42,8 @@ from cfarkit.analytic import (
     os_pfa,
     os_threshold,
 )
+from cfarkit.cli import main
+from cfarkit.config import DetectorRequest
 from cfarkit.detector import OrderStatistic
 from cfarkit.simulation import resolve_threshold
 
@@ -59,6 +63,36 @@ def os_exceedance_by_quadrature(tau: float, n: int, k: int) -> float:
     value, err = integrate.quad(integrand, 0.0, np.inf, epsabs=0.0, epsrel=1e-12, limit=500)
     assert err < 1e-11 * value  # quadrature itself converged
     return value
+
+
+def gm_pfa_by_scipy_loggamma(tau: float, n: int) -> tuple[float, float]:
+    """Independent GM oracle: the Mellin-Barnes sum with ``scipy.special.loggamma``.
+
+    Its line ``Re s`` sits a tenth of the way from the saddle towards the
+    nearer pole, and its step is finer than the code's, so it shares
+    neither the log-gamma nor the node grid.  Returns the Pfa and the
+    oracle's own relative rounding error, 8 eps times the size of the
+    log-gamma terms it adds (1.2e-11 at N = 1024 and Pfa 1e-300).
+    """
+    log_tau = math.log(tau)
+
+    def log_peak(c):
+        return math.lgamma(c) + n * math.lgamma(1.0 - c / n) - c * log_tau
+
+    grid = np.linspace(0.0, n, 4001)[1:-1]
+    c = grid[np.argmin([log_peak(x) for x in grid])]
+    c += 0.1 * min(c, n - c)
+    h = min(0.01, min(c, n - c) / 7.0)  # trapezoid error exp(-14 pi) of the integrand
+    peak, total, start = log_peak(c), 0.0, 0
+    while True:  # chunks of 4096 nodes until the integrand has decayed
+        s = c + 1j * h * np.arange(start, start + 4096)
+        log_f = special.loggamma(s) + n * special.loggamma(1.0 - s / n) - s * log_tau
+        terms = np.exp(log_f - peak) * np.where(s.imag == 0, 0.5, 1.0)
+        total, start = total + terms.real.sum(), start + 4096
+        if abs(terms[-1]) < 1e-17 * abs(total):
+            break
+    size = abs(math.lgamma(c)) + n * abs(math.lgamma(1.0 - c / n)) + c * abs(log_tau)
+    return total * h / math.pi * math.exp(peak), 8.0 * sys.float_info.epsilon * size
 
 
 class TestCellAveraging:
@@ -138,8 +172,8 @@ class TestOrderStatistic:
             assert os_pfa(tau, n, k) == os_pd(tau, 0.0, n, k)
 
     def test_minimum_detector_closed_form(self):
-        # up to the thresholds of Pfa 1e-6 at N = 64, where log-gamma
-        # differences near lgamma(tau) would cancel
+        # the product form at k = 1 is its one factor, up to the thresholds
+        # of Pfa 1e-6 at N = 64
         taus = (0.5, 1.0, 3.0, 10.0, 3199968.0, 6.4e7)
         for tau, n in itertools.product(taus, (4, 16, 32)):
             assert os_pfa(tau, n, 1) == pytest.approx(n / (tau + n), rel=1e-14, abs=0.0)
@@ -152,7 +186,7 @@ class TestOrderStatistic:
         oracle = os_exceedance_by_quadrature(tau, n, k)
         assert os_pfa(tau, n, k) == pytest.approx(oracle, rel=1e-9, abs=0.0)
 
-    def test_log_gamma_path_survives_large_windows(self):
+    def test_product_form_survives_large_windows(self):
         value = os_pfa(50.0, 1024, 1023)
         assert 0.0 < value < 1.0 and math.isfinite(value)
 
@@ -218,7 +252,7 @@ class TestOsThreshold:
         for p, n in itertools.product(PFA_GRID, ((32, 31), (32, 24), (16, 12))):
             n, k = n
             tau = os_threshold(p, n, k)
-            assert abs(os_pfa(tau, n, k) - p) / p <= 1e-8
+            assert abs(os_pfa(tau, n, k) - p) / p <= 1e-12
 
     def test_exchangeability_inverse(self):
         assert os_threshold(0.2, 4, 4) == pytest.approx(1.0, rel=1e-9)
@@ -240,12 +274,17 @@ class TestOsThreshold:
         with pytest.raises(ValueError, match="overflows"):
             resolve_threshold(OrderStatistic(1), 32, pfa)
 
+    def test_minimum_needs_no_pfa_evaluation(self, monkeypatch):
+        # at k = 1 both bracket edges are N (1/p - 1): the solver returns at once
+        monkeypatch.setattr(analytic, "_os_log_prob", None)
+        assert os_threshold(1e-4, 32, 1) == 32 * (1e-4 ** -1.0 - 1.0)
+
     def test_iteration_budget_failure_carries_bracket(self):
-        settings = SolverSettings(relative_tolerance=1e-12, max_iterations=3)
+        # one evaluation, at the lower edge: 17 and 32 times the CA multiplier of 16 cells
+        settings = SolverSettings(relative_tolerance=1e-12, max_iterations=1)
         with pytest.raises(ThresholdSolverError) as info:
             os_threshold(1e-6, 32, 16, settings)
-        lo, hi = info.value.bracket
-        assert 0.0 <= lo < hi
+        assert info.value.bracket == (17 * ca_threshold(1e-6, 16), 32 * ca_threshold(1e-6, 16))
 
     def test_settings_validation(self):
         with pytest.raises(ValueError):
@@ -266,6 +305,25 @@ class TestGeometricMean:
         ])
         err = np.abs(np.exp(_log_gamma1p(z - 1.0) - special.loggamma(z)) - 1.0)
         assert err.max() <= 1e-12
+
+    def test_log_gamma_matches_scipy_out_to_the_reach(self):
+        # the contour runs out to Im s = 2048; there both agree to the
+        # rounding of log G itself, up to multiples of 2 pi i
+        rng = np.random.default_rng(12)
+        z = np.concatenate([
+            rng.uniform(0.25, 64.0, 2000) + 1j * rng.uniform(-2048.0, 2048.0, 2000),
+            rng.uniform(0.25 / 1024, 1.0, 2000) + 1j * rng.uniform(-2.0, 2.0, 2000),
+        ])
+        diff = _log_gamma1p(z - 1.0) - special.loggamma(z)
+        diff = diff.real + 1j * np.angle(np.exp(1j * diff.imag))
+        assert np.all(np.abs(diff) <= 1e-15 * np.abs(special.loggamma(z)) + 1e-14)
+
+    @pytest.mark.parametrize("pfa", [1e-30, 1e-100, 1e-300])
+    def test_long_contour_against_scipy_loggamma(self, pfa):
+        # N = 512 needs nodes past Im s = 60 from Pfa 1e-30 on
+        tau = gm_threshold(pfa, 512)
+        value, rounding = gm_pfa_by_scipy_loggamma(tau, 512)
+        assert abs(value / pfa - 1.0) <= 1e-12 + rounding
 
     @pytest.mark.parametrize("n", [128, 1024])
     @pytest.mark.parametrize("tau", [1e-17, 1e-13])
@@ -350,7 +408,61 @@ class TestGeometricMean:
         with pytest.raises(ValueError):
             gm_pd(-1.0, 0.0, 4)
         with pytest.raises(ValueError, match="beyond the quadrature"):
-            gm_threshold(1e-30, 1024)  # the integrand outlives the contour
+            gm_threshold(1e-100, 2)  # the sum cancels by more than six digits
+
+
+CONTRACT_WINDOWS = (1, 2, 16, 32, 128, 1024)
+CONTRACT_PFAS = (1 - 1e-7, 0.5, 1e-4, 1e-12, 1e-30, 1e-100, 1e-300)
+# the GM designs whose quadrature sum cancels by more than six digits
+GM_REFUSED = {(1, 1e-30), (1, 1e-300), (2, 1e-100), (2, 1e-300)}
+
+
+def contract_designs():
+    for n in CONTRACT_WINDOWS:
+        ks = sorted({1, 2, n // 2, n - 1, n} & set(range(1, n + 1)))
+        for stat, k in [("ca", None), *(("os", k) for k in ks), ("gm", None)]:
+            for pfa in CONTRACT_PFAS:
+                yield pytest.param(stat, k, n, pfa, id=f"{stat}{k or ''}-N{n}-{pfa!r}")
+
+
+def true_pfa_error(stat: str, k: int | None, n: int, tau: float, pfa: float) -> tuple[float, float]:
+    """``|Pfa(tau)/pfa - 1|`` by an independent oracle, and the oracle's own error."""
+    ctx = decimal.Context(prec=40)
+    t = decimal.Decimal(tau)
+    if stat == "os":  # Rohling's product of k factors i/(i + tau)
+        exact = decimal.Decimal(1)
+        for i in range(n - k + 1, n + 1):
+            exact = ctx.multiply(exact, ctx.divide(i, ctx.add(i, t)))
+    elif stat == "ca" or n == 1:  # the GM of one cell is that cell
+        exact = ctx.power(ctx.add(1, t), -n)
+    else:
+        value, rounding = gm_pfa_by_scipy_loggamma(tau, n)
+        return abs(value / pfa - 1.0), rounding
+    return float(abs(ctx.divide(exact, decimal.Decimal(pfa)) - 1)), 0.0
+
+
+class TestThresholdContract:
+    """Every design achieves its Pfa to 1e-12 or is refused in one line.
+
+    The grid spans N from 1 to 1024, the OS indices 1, 2, N/2, N-1 and N,
+    and Pfa from 1 - 1e-7 to 1e-300.  ``cfarkit threshold`` exits 0 with a
+    finite multiplier, or 1 or 2 with one line on stderr: never a
+    traceback or ``inf``.
+    """
+
+    @pytest.mark.parametrize("stat, k, n, pfa", contract_designs())
+    def test_design(self, stat, k, n, pfa, capsys):
+        argv = ["threshold", "--stat", stat, "--window", str(n), "--pfa", repr(pfa)]
+        code = main(argv + ([] if k is None else ["--k", str(k)]))
+        out, err = capsys.readouterr()
+        if code != 0:
+            assert code in (1, 2) and out == "" and err.count("\n") == 1 and err.endswith("\n")
+            assert stat == "gm" and (n, pfa) in GM_REFUSED  # refusals may only shrink
+            return
+        tau = resolve_threshold(DetectorRequest(stat, k).to_stat(), n, pfa)
+        assert math.isfinite(tau) and float(out) == pytest.approx(tau, rel=1e-8)
+        error, rounding = true_pfa_error(stat, k, n, tau, pfa)
+        assert error <= 1e-12 + rounding
 
 
 class TestIdeal:
