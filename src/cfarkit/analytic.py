@@ -67,7 +67,9 @@ class SolverSettings:
     """Controls for the threshold solver (bracketed Newton in ``log tau``, OS and GM).
 
     ``relative_tolerance`` bounds the relative false-alarm residual at the
-    returned threshold; ``max_iterations`` counts Pfa evaluations.
+    returned threshold, and also its relative error where Pfa is near 1
+    (there ``|d log Pfa / d log tau| < 1``, so a small residual alone
+    leaves ``tau`` loose); ``max_iterations`` counts Pfa evaluations.
     """
 
     relative_tolerance: float = 1e-12
@@ -303,13 +305,17 @@ def gm_pfa(tau: float, n: int) -> float:
 def gm_threshold(pfa: float, n: int, settings: SolverSettings = SolverSettings()) -> float:
     """Invert the geometric-mean Pfa for the threshold multiplier.
 
-    ``min <= g <= mean`` brackets the root between N times the CA multiplier
-    and the minimum detector's ``N (1 - pfa) / pfa``, equal at N = 1.
+    ``min <= g <= mean`` brackets the root between N times the CA
+    multipliers of N cells and of one cell (the minimum detector's), which
+    are equal at N = 1, where the geometric mean is the cell itself.
     """
     _check_pfa(pfa)
     _check_window(n)
-    lo = n * math.expm1(min(-math.log(pfa) / n, 709.0))  # both edges kept finite
-    hi = min(n * ((1.0 - pfa) / pfa), 1e308)
+    try:  # overflows only at N = 1, where the root 1/pfa - 1 itself does
+        lo = n * ca_threshold(pfa, n)
+    except ValueError:
+        raise ValueError(f"geometric-mean multiplier at Pfa {pfa!r}, N={n} overflows") from None
+    hi = min(n * ca_threshold(max(pfa, 1e-308), 1), 1e308)  # kept finite
     return _solve_threshold(lambda tau: _gm_quadrature(tau, n), pfa, settings, (lo, hi))
 
 
@@ -321,7 +327,8 @@ def _solve_threshold(log_prob, pfa: float, settings: SolverSettings, bracket) ->
     so ``pfa = 1`` has the root 0.  Newton steps in ``log tau`` start from
     the lower edge, with bisection in ``log tau`` for a step that leaves
     the bracket.  The solve stops when the relative Pfa residual is within
-    ``settings.relative_tolerance`` or the bracket is within machine
+    ``settings.relative_tolerance`` times ``min(1, |slope|)``, which also
+    bounds the relative error of ``tau``, or the bracket is within machine
     precision, at once for a bracket of zero width.  Exhausting the
     iteration budget raises :class:`ThresholdSolverError` with the last bracket.
     """
@@ -337,8 +344,9 @@ def _solve_threshold(log_prob, pfa: float, settings: SolverSettings, bracket) ->
         f_cand -= log_pfa
         if abs(f_cand) < abs(f_best):
             best, f_best = cand, f_cand
-        # |expm1(log residual)| is the relative Pfa error at the candidate.
-        if abs(math.expm1(f_cand)) <= settings.relative_tolerance:
+        # |expm1(log residual)| is the relative Pfa error at the candidate, and
+        # that over |slope| the relative error of tau, large where Pfa is near 1
+        if abs(math.expm1(f_cand)) <= settings.relative_tolerance * min(1.0, -slope):
             return cand
         if f_cand > 0.0:
             lo = cand

@@ -28,26 +28,6 @@ from .simulation import FixedCells, Placement, RandomUniform
 
 __all__ = ["DetectorRequest", "RunConfig", "parse_key_values"]
 
-_MODES = ("pd-curve", "regulation")
-
-_KEYS_COMMON = {
-    "experiment",
-    "lambda",
-    "window",
-    "guard",
-    "design_pfa",
-    "runs",
-    "seed",
-    "workers",
-    "detectors",
-}
-_KEYS_BY_MODE = {
-    "pd-curve": _KEYS_COMMON
-    | {"scr_db", "interference_db", "interference_count", "interference_placement"},
-    "regulation": _KEYS_COMMON | {"boost_db", "affected"},
-}
-
-
 @dataclass(frozen=True)
 class DetectorRequest:
     """One detector token from the config: kind plus order-statistic index."""
@@ -124,7 +104,7 @@ def _parse_grid(value: str, key: str) -> tuple[float, ...]:
     return tuple(_parse_float(v, key) for v in items)
 
 
-def _parse_detectors(value: str) -> tuple[DetectorRequest, ...]:
+def _parse_detectors(value: str, key: str) -> tuple[DetectorRequest, ...]:
     requests = []
     for token in (t.strip().lower() for t in value.split(",")):
         if not token:
@@ -132,35 +112,70 @@ def _parse_detectors(value: str) -> tuple[DetectorRequest, ...]:
         if token in ("ca", "gm", "min", "ideal"):
             requests.append(DetectorRequest(token))
         elif token.startswith("os:"):
-            k = _parse_count(token[3:], "detectors")
+            k = _parse_count(token[3:], key)
             if k < 1:
-                raise ValueError(f"detectors: order-statistic index must be >= 1, got {token!r}")
+                raise ValueError(f"{key}: order-statistic index must be >= 1, got {token!r}")
             requests.append(DetectorRequest("os", k))
         else:
             raise ValueError(
-                f"detectors: unknown token {token!r} (expected ca, os:<k>, gm, min, ideal)"
+                f"{key}: unknown token {token!r} (expected ca, os:<k>, gm, min, ideal)"
             )
     if not requests:
-        raise ValueError("detectors: at least one detector is required")
+        raise ValueError(f"{key}: at least one detector is required")
     return tuple(requests)
 
 
-def _parse_interference_db(value: str) -> tuple[float | None, ...]:
+def _parse_interference_db(value: str, key: str) -> tuple[float | None, ...]:
     entries: list[float | None] = []
     for token in (t.strip().lower() for t in value.split(",")):
         if not token:
             continue
-        entries.append(None if token == "none" else _parse_float(token, "interference_db"))
+        entries.append(None if token == "none" else _parse_float(token, key))
     if not entries:
-        raise ValueError("interference_db: empty list")
+        raise ValueError(f"{key}: empty list")
     return tuple(entries)
 
 
-def _parse_placement(value: str) -> Placement:
+def _parse_placement(value: str, key: str) -> Placement:
     if value.strip().lower() == "random":
         return RandomUniform()
-    cells = tuple(_parse_count(v.strip(), "interference_placement") for v in value.split(","))
-    return FixedCells(cells)
+    return FixedCells(tuple(_parse_count(v.strip(), key) for v in value.split(",")))
+
+
+def _parse_affected(value: str, key: str) -> tuple[int, ...]:
+    counts = _parse_grid(value, key)
+    if not all(j.is_integer() for j in counts):
+        raise ValueError(f"{key}: expected integer cell counts, got {value!r}")
+    return tuple(int(j) for j in counts)
+
+
+# config key -> (RunConfig field, parser), in parsing order; ``experiment``
+# is accepted in every mode and only checked against the requested mode
+_COMMON_FIELDS = {
+    "detectors": ("detectors", _parse_detectors),
+    "lambda": ("clutter_rate", _parse_float),
+    "window": ("window", _parse_count),
+    "guard": ("guard", _parse_count),
+    "design_pfa": ("design_pfa", _parse_float),
+    "runs": ("runs", _parse_count),
+    "seed": ("seed", _parse_count),
+    "workers": ("workers", _parse_count),
+}
+_FIELDS_BY_MODE = {
+    "pd-curve": {
+        **_COMMON_FIELDS,
+        "scr_db": ("scr_db", _parse_grid),
+        "interference_db": ("interference_db", _parse_interference_db),
+        "interference_count": ("interference_count", _parse_count),
+        "interference_placement": ("interference_placement", _parse_placement),
+    },
+    "regulation": {
+        **_COMMON_FIELDS,
+        "boost_db": ("boost_db", _parse_float),
+        "affected": ("affected", _parse_affected),
+    },
+}
+_MODES = tuple(_FIELDS_BY_MODE)
 
 
 @dataclass(frozen=True)
@@ -213,51 +228,13 @@ class RunConfig:
         declared = raw.get("experiment")
         if declared is not None and declared != mode:
             raise ValueError(f"config declares experiment={declared!r} but {mode!r} was requested")
-        allowed = _KEYS_BY_MODE[mode]
-        unknown = sorted(set(raw) - allowed)
+        fields = _FIELDS_BY_MODE[mode]
+        unknown = sorted(set(raw) - set(fields) - {"experiment"})
         if unknown:
             raise ValueError(f"unknown config keys for {mode}: {', '.join(unknown)}")
-
-        kwargs: dict = {"mode": mode}
-        if "detectors" in raw:
-            kwargs["detectors"] = _parse_detectors(raw["detectors"])
-        else:
+        if "detectors" not in raw:
             raise ValueError("detectors: key is required")
-        if "lambda" in raw:
-            kwargs["clutter_rate"] = _parse_float(raw["lambda"], "lambda")
-        if "window" in raw:
-            kwargs["window"] = _parse_count(raw["window"], "window")
-        if "guard" in raw:
-            kwargs["guard"] = _parse_count(raw["guard"], "guard")
-        if "design_pfa" in raw:
-            kwargs["design_pfa"] = _parse_float(raw["design_pfa"], "design_pfa")
-        if "runs" in raw:
-            kwargs["runs"] = _parse_count(raw["runs"], "runs")
-        if "seed" in raw:
-            kwargs["seed"] = _parse_count(raw["seed"], "seed")
-        if "workers" in raw:
-            kwargs["workers"] = _parse_count(raw["workers"], "workers")
-        if mode == "pd-curve":
-            if "scr_db" in raw:
-                kwargs["scr_db"] = _parse_grid(raw["scr_db"], "scr_db")
-            if "interference_db" in raw:
-                kwargs["interference_db"] = _parse_interference_db(raw["interference_db"])
-            if "interference_count" in raw:
-                kwargs["interference_count"] = _parse_count(
-                    raw["interference_count"], "interference_count"
-                )
-            if "interference_placement" in raw:
-                kwargs["interference_placement"] = _parse_placement(
-                    raw["interference_placement"]
-                )
-        else:
-            if "boost_db" in raw:
-                kwargs["boost_db"] = _parse_float(raw["boost_db"], "boost_db")
-            if "affected" in raw:
-                counts = _parse_grid(raw["affected"], "affected")
-                if not all(j.is_integer() for j in counts):
-                    raise ValueError(
-                        f"affected: expected integer cell counts, got {raw['affected']!r}"
-                    )
-                kwargs["affected"] = tuple(int(j) for j in counts)
-        return cls(**kwargs)
+        kwargs = {
+            name: parse(raw[key], key) for key, (name, parse) in fields.items() if key in raw
+        }
+        return cls(mode=mode, **kwargs)

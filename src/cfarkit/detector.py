@@ -153,7 +153,10 @@ def _row_chunks(rows: int, n: int):
 def _stat_rows(stat: StatKind, crp: np.ndarray) -> np.ndarray:
     """Clutter statistic of every row of a (rows, N) CRP matrix.
 
-    The only implementation of the three statistics; inputs are not checked.
+    The only code that computes a statistic for a row that is counted:
+    detection blocks, every affected count of a clutter edge (the edge
+    screen in front of it only filters) and :func:`slide`.  Inputs are
+    not checked.
     ``crp`` may be overwritten (the order statistic partitions it and the
     geometric mean takes its log in place), so callers pass a matrix they
     own; the returned vector is a new array.  The sum is accumulated as

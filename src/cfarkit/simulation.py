@@ -14,8 +14,9 @@ consumes its CRP one chunk of rows at a time, never holding the matrix.
 A batch of one point is a single estimate.  A batch with one cell
 scaling (an SCR grid, an estimate) computes the clutter statistic once
 per trial; a clutter-edge batch screens each chunk once per CUT scale
-and evaluates every affected count, from running sums and counts along
-the cells, on the trials the screen keeps.  Per-block success counts are
+and computes the statistic at every affected count only on the trials
+the screen keeps.  Every statistic that decides a counted trial comes
+from :func:`cfarkit.detector._stat_rows`.  Per-block success counts are
 combined by exact integer addition, so results are identical for any
 worker count and any scheduling order.
 
@@ -286,7 +287,8 @@ def _edge_successes(batch: _TrialBatch, chunks, cut: np.ndarray) -> list[int]:
     chunk's worth waits, and at the end, go through the per-count
     evaluation (:func:`_edge_hits`).  A kept trial gets the same verdicts as
     in a pass over every trial, so the screen changes no count.  The
-    geometric mean takes the logs of each chunk in place.
+    geometric mean is screened on each chunk's log sums; the kept rows are
+    its raw cells.
     """
     spec, boost = batch.spec, batch.cells.boost
     counts = np.asarray(batch.cells.counts, dtype=np.intp)
@@ -295,13 +297,12 @@ def _edge_successes(batch: _TrialBatch, chunks, cut: np.ndarray) -> list[int]:
     kept = [([], []) for _ in groups]  # per group: screened rows and CUTs not yet evaluated
     hits = np.zeros(len(counts), dtype=np.int64)
     for start, x in chunks:
-        if isinstance(spec.stat, GeometricMean):  # a zero cell sends the log sum to -inf, g to 0
-            with np.errstate(divide="ignore"):
-                x = np.log(x, out=x).sum(axis=1)
+        with np.errstate(divide="ignore"):  # a zero cell sends the GM's log sum to -inf, g to 0
+            screened = np.log(x).sum(axis=1) if isinstance(spec.stat, GeometricMean) else x
         end = start + len(x)
         for members, (xs, zcs) in zip(groups, kept):
             zc = cut[start:end] * scales[members[0]]
-            keep = _edge_screen(spec, boost, x, zc, counts[members].min())
+            keep = _edge_screen(spec, boost, screened, zc, counts[members].min())
             xs.append(x[keep])
             zcs.append(zc[keep])
             if end == len(cut) or sum(map(len, zcs)) >= len(x):
@@ -319,12 +320,13 @@ def _edge_screen(
 
     ``x`` holds the trials' cells (their log sums for the geometric mean)
     and ``zc`` their scaled CUT.  An order statistic ``k`` (``min`` is
-    ``k = 1``) counts the cells with ``fl(tau * y) < zc``, from the same
-    rounded products as :func:`_edge_hits`, so it keeps exactly the trials
-    that fire at ``j``.  The sum and the geometric mean lower the threshold
-    by the relative ``_SCREEN_SLACK``, far above the few ulps by which the
-    rounding of their sums (about ``N`` ulps) and of ``exp`` can break the
-    order of the counts.
+    ``k = 1``) counts the cells with ``fl(tau * y) < zc``; rounding is
+    monotone, so that count reaches ``k`` exactly when ``fl(tau * y_(k)) < zc``,
+    and the screen keeps exactly the trials that fire at ``j``.  The sum
+    and the geometric mean lower the threshold by the relative
+    ``_SCREEN_SLACK``, far above the few ulps by which the rounding of
+    their sums (about ``N`` ulps) and of ``exp`` can break the order of
+    the counts.
     """
     stat, tau = spec.stat, spec.threshold_multiplier
     if isinstance(stat, OrderStatistic):
@@ -348,46 +350,19 @@ def _edge_screen(
 def _edge_hits(
     spec: DetectorSpec, boost: float, x: np.ndarray, zc: np.ndarray, counts: np.ndarray
 ) -> np.ndarray:
-    """Successes at each affected count among trials ``x`` (overwritten), ``zc`` as screened.
+    """Successes at each affected count ``j`` among the screened trials ``x``, ``zc``.
 
-    - Sum: ``B`` times the prefix sum of the first ``j`` cells plus the
-      suffix sum of the rest.
-    - Geometric mean: ``exp((sum(log x) + j log B) / N)``.
-    - Order statistic ``k``: rounding ``tau * y`` is monotone in ``y``, so
-      ``tau * y_(k) < zc`` exactly when at least ``k`` cells have
-      ``tau * y_i < zc``; that count is the cells below ``zc`` unboosted,
-      less those among the first ``j`` that the boost lifts to ``zc`` or
-      above.
-
-    Order-statistic rows equal a per-point evaluation bit for bit.  Sum and
-    geometric-mean rows are the per-point statistics up to rounding, so
-    they can differ from it only by a trial whose scaled CUT lies within a
-    few ulps of the threshold.
+    Each count boosts the first ``j`` cells of a copy of the rows and
+    compares ``zc`` against :func:`_stat_rows` of that copy, so every row
+    equals a per-point evaluation bit for bit.
     """
-    stat, tau = spec.stat, spec.threshold_multiplier
-    zc = zc[:, None]
-    if isinstance(stat, OrderStatistic):
-        reach = counts.max()
-        with np.errstate(over="ignore"):
-            lifted = x[:, :reach] * boost
-            lifted *= tau
-        x *= tau
-        below = x < zc
-        spare = np.count_nonzero(below, axis=1) - stat.k
-        lost = np.zeros((len(x), reach + 1), dtype=np.int32)
-        np.cumsum(below[:, :reach] & ~(lifted < zc), axis=1, out=lost[:, 1:])
-        return np.count_nonzero(lost[:, counts] <= spare[:, None], axis=0)
-    if isinstance(stat, Sum):
-        prefix = np.zeros((len(x), x.shape[1] + 1))
-        np.cumsum(x, axis=1, out=prefix[:, 1:])
-        head = prefix[:, counts]
-        limit = prefix[:, -1:] - head
-        head *= boost
-        limit += head
-    else:
-        limit = np.exp((x[:, None] + counts * math.log(boost)) / spec.window_length)
-    limit *= tau
-    return np.count_nonzero(zc > limit, axis=0)
+    hits = np.empty(len(counts), dtype=np.int64)
+    for p, j in enumerate(counts):
+        y = x.copy()
+        with np.errstate(over="ignore"):  # a cell lifted to inf never lets zc fire
+            y[:, :j] *= boost
+            hits[p] = np.count_nonzero(zc > _stat_rows(spec.stat, y) * spec.threshold_multiplier)
+    return hits
 
 
 def _point_estimates(batches: Sequence[_TrialBatch], workers: int) -> list[PdEstimate]:

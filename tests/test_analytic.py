@@ -279,6 +279,20 @@ class TestOsThreshold:
         monkeypatch.setattr(analytic, "_os_log_prob", None)
         assert os_threshold(1e-4, 32, 1) == 32 * (1e-4 ** -1.0 - 1.0)
 
+    @pytest.mark.parametrize("n, k", [(2, 2), (16, 8), (32, 16), (32, 31), (1024, 2), (1024, 1023)])
+    def test_near_one_against_decimal_root(self, n, k):
+        # at Pfa 1 - 1e-7 the slope d log Pfa / d log tau is about -1e-7, so a
+        # 1e-12 Pfa residual alone would leave tau loose by about 1e-5
+        pfa = 1 - 1e-7
+        tau = os_threshold(pfa, n, k)
+        with decimal.localcontext(decimal.Context(prec=50)):
+            log_p, root = decimal.Decimal(pfa).ln(), decimal.Decimal(tau)
+            for _ in range(3):  # Newton on sum_i log(1 + root/i) = -log p, from tau
+                f = sum((1 + root / i).ln() for i in range(n - k + 1, n + 1)) + log_p
+                root -= f / sum(1 / (i + root) for i in range(n - k + 1, n + 1))
+            error = abs(decimal.Decimal(tau) / root - 1)
+        assert error <= 1e-12, float(error)
+
     def test_iteration_budget_failure_carries_bracket(self):
         # one evaluation, at the lower edge: 17 and 32 times the CA multiplier of 16 cells
         settings = SolverSettings(relative_tolerance=1e-12, max_iterations=1)
@@ -342,6 +356,15 @@ class TestGeometricMean:
         # N = 1: g is one exponential, so Pfa = E[exp(-tau X)] = 1/(1+tau)
         for tau in np.logspace(-3.0, 12.0, 61):
             assert gm_pfa(float(tau), 1) == pytest.approx(1.0 / (1.0 + tau), rel=1e-12, abs=0.0)
+
+    def test_bracket_edges_at_the_limits_of_double(self):
+        # N = 1: both edges are the exact 1/p - 1, so no sum is needed, down to
+        # where 1/p - 1 exceeds the largest double and the design is refused
+        assert gm_threshold(1e-308, 1) == ca_threshold(1e-308, 1)
+        with pytest.raises(ValueError, match="geometric-mean multiplier at Pfa 1e-320, N=1"):
+            gm_threshold(1e-320, 1)
+        # the upper edge 32/p overflows and is kept finite; the root is far below it
+        assert gm_threshold(1e-320, 32) == pytest.approx(7418261123380.17, rel=1e-12)
 
     @pytest.mark.parametrize("tau,n", [(9.846050029, 16), (3.0, 16), (26.9228569026, 32)])
     def test_against_conditional_monte_carlo(self, tau, n):
@@ -414,7 +437,7 @@ class TestGeometricMean:
 CONTRACT_WINDOWS = (1, 2, 16, 32, 128, 1024)
 CONTRACT_PFAS = (1 - 1e-7, 0.5, 1e-4, 1e-12, 1e-30, 1e-100, 1e-300)
 # the GM designs whose quadrature sum cancels by more than six digits
-GM_REFUSED = {(1, 1e-30), (1, 1e-300), (2, 1e-100), (2, 1e-300)}
+GM_REFUSED = {(2, 1e-100), (2, 1e-300)}
 
 
 def contract_designs():

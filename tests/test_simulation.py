@@ -416,19 +416,33 @@ class TestCommonRandomNumbers:
         assert 0 < sum(rows) < 0.05 * BLOCK_TRIALS, sum(rows) / BLOCK_TRIALS
 
     @pytest.mark.parametrize("spec", STATS_16, ids=STAT_IDS)
-    def test_edge_block_makes_no_per_count_statistic_pass(self, spec, monkeypatch):
-        calls, kernel = [], simulation._stat_rows
+    def test_per_count_statistic_sees_only_screened_rows(self, spec, monkeypatch):
+        # design Pfa 1e-3, 2 dB edge: no per-count pass covers the whole block;
+        # each kept row is evaluated once per count of its CUT-scale group
+        kept, rows = {}, []
+        screen, kernel = simulation._edge_screen, simulation._stat_rows
 
-        def counted(stat, crp):
-            calls.append(stat)
+        def counted_screen(spec, boost, x, zc, j):
+            keep = screen(spec, boost, x, zc, j)
+            kept[j] = kept.get(j, 0) + int(np.count_nonzero(keep))
+            return keep
+
+        def counted_kernel(stat, crp):
+            rows.append(len(crp))
             return kernel(stat, crp)
 
-        monkeypatch.setattr(simulation, "_stat_rows", counted)
+        monkeypatch.setattr(simulation, "_edge_screen", counted_screen)
+        monkeypatch.setattr(simulation, "_stat_rows", counted_kernel)
+        spec = replace(spec, threshold_multiplier=resolve_threshold(spec.stat, 16, 1e-3))
         _, batch = simulation._regulation_points(
-            spec, CLUTTER, RegulationSpec(1e-2, 1000, 10.0), RandomStream(88)
+            spec, CLUTTER, RegulationSpec(1e-3, BLOCK_TRIALS, 2.0), RandomStream(89)
         )
         assert len(simulation._batch_successes(batch)) == 17
-        assert calls == []
+        # counts 0..8 keep the CUT unboosted (screened at j = 0), 9..16 boost it (j = 9)
+        assert sorted(kept) == [0, 9] and min(kept.values()) > 0
+        assert len(rows) >= 17
+        assert max(rows) <= sum(kept.values()) < 0.05 * BLOCK_TRIALS, max(rows)
+        assert sum(rows) == 9 * kept[0] + 8 * kept[9]
 
     def test_ca_rows_match_exact_heterogeneous_pd(self):
         # CA with CUT scale c0 and cell scales c_i: Pd = prod_i (1 + u c_i)^-1, u = tau/c0
