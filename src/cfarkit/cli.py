@@ -18,8 +18,14 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from pathlib import Path
+
+# The CLI makes no BLAS call, so OpenBLAS's helper threads, started when numpy
+# loads (and inherited by forked pool workers), would only spin.  A value the
+# user has set wins.  This must run before the first import of numpy.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

@@ -62,16 +62,22 @@ class ClutterModel:
     Attributes
     ----------
     rate : float
-        Exponential rate parameter (inverse intensity), > 0.  Mean
-        intensity is ``1/rate``; clutter power, measured as the mean
-        square of the intensity, is ``2/rate**2``.
+        Exponential rate parameter (inverse intensity), finite and at least
+        ``MIN_RATE``.  Mean intensity is ``1/rate``; clutter power, measured
+        as the mean square of the intensity, is ``2/rate**2``.
     """
+
+    # The engine divides unit draws (< 2**6) by the rate; from 2**-960 up every
+    # such cell, and any sum of fewer than 2**58 of them, stays finite.
+    MIN_RATE = 2.0**-960
 
     rate: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.rate) and self.rate > 0):
-            raise ValueError(f"clutter rate must be finite and > 0, got {self.rate!r}")
+        if not (math.isfinite(self.rate) and self.rate >= self.MIN_RATE):
+            raise ValueError(
+                f"clutter rate must be finite and >= 2**-960 (about 1.03e-289), got {self.rate!r}"
+            )
 
 
 @dataclass(frozen=True)

@@ -311,6 +311,40 @@ class TestDecibelOverflow:
         assert err.count("\n") == 1 and "5000" in err and "dB" in err
 
 
+class TestClutterRate:
+    """The CFAR rows do not depend on lambda; a lambda whose draws overflow is refused."""
+
+    CONFIG = ("detectors = ca, os:31, gm\nscr_db = 20\ninterference_db = 5\n"
+              "runs = 65536\nseed = 3\n")
+
+    def _pd_curve(self, tmp_path, capsys, rate):
+        path = tmp_path / "rate.cfg"
+        path.write_text(f"{self.CONFIG}lambda = {rate!r}\n")
+        return run_cli("pd-curve", "--config", str(path), capsys=capsys)
+
+    @pytest.mark.parametrize("command, lines", [
+        ("pd-curve", "scr_db = 20\ninterference_db = 5\n"),
+        ("regulation", ""),
+    ], ids=["pd-curve", "regulation"])
+    @pytest.mark.parametrize("rate", [1e-300, 1e-310])
+    def test_tiny_rate_fails_with_one_line(self, command, lines, rate, tmp_path, capsys):
+        path = tmp_path / "tiny.cfg"
+        path.write_text(f"detectors = ca\nwindow = 16\nruns = 100\n{lines}lambda = {rate!r}\n")
+        code, out, err = run_cli(command, "--config", str(path), capsys=capsys)
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "2**-960" in err
+
+    @pytest.mark.parametrize("rate", [2.0**-960, 1.7e308])
+    def test_extreme_accepted_rates_print_the_unit_rate_rows(self, rate, tmp_path, capsys):
+        code, expected, _ = self._pd_curve(tmp_path, capsys, 1.0)
+        assert code == 0
+        _, rows = parse_csv(expected)
+        assert [r[4] for r in rows] == ["0.8910064697265625", "0.8744659423828125",
+                                        "0.886474609375"]
+        code, out, _ = self._pd_curve(tmp_path, capsys, rate)
+        assert code == 0 and out == expected
+
+
 class TestVerifyCommand:
     def test_full_suite_passes(self, capsys):
         code, out, _ = run_cli("verify", capsys=capsys)
@@ -364,16 +398,78 @@ class TestConfigParsing:
 
 
 class TestImportCost:
+    """Import side effects, each seen in a fresh interpreter: pytest's own
+    process may already hold numpy, the pool, or the BLAS variable."""
+
+    # prints the BLAS variable as numpy is first looked up, i.e. before it loads
+    PROBE = (
+        "import os, sys\n"
+        "class Probe:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'numpy':\n"
+        "            print(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+        "sys.meta_path.insert(0, Probe())\n"
+    )
+
+    @staticmethod
+    def _env(blas=None):
+        src = str(Path(cfarkit.__file__).parents[1])
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = src
+        if blas is not None:
+            env["OPENBLAS_NUM_THREADS"] = blas
+        return env
+
+    def _fresh(self, *args, blas=None):
+        return subprocess.run([sys.executable, *args], env=self._env(blas), capture_output=True,
+                              text=True, check=True).stdout
+
     def test_pool_and_verify_load_only_when_used(self):
-        # a fresh interpreter: pytest's own process may have loaded them already
         code = ("import sys, cfarkit, cfarkit.cli; "
                 "print([m for m in ('multiprocessing', 'concurrent.futures.process', "
                 "'cfarkit.verify') if m in sys.modules])")
-        src = str(Path(cfarkit.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": src}
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, check=True)
-        assert done.stdout.strip() == "[]"
+        assert self._fresh("-c", code).strip() == "[]"
+
+    def test_package_import_loads_no_numpy(self):
+        code = "import sys, cfarkit; print('numpy' in sys.modules, cfarkit.__version__)"
+        assert self._fresh("-c", code).split() == ["False", cfarkit.__version__]
+
+    def test_cli_pins_blas_to_one_thread_before_numpy_loads(self):
+        code = self.PROBE + (
+            "import cfarkit.cli\n"
+            "print(os.environ['OPENBLAS_NUM_THREADS'])\n"
+            "tasks = '/proc/self/task'\n"
+            "print(len(os.listdir(tasks)) if os.path.isdir(tasks) else 1)\n"
+        )
+        # set before numpy loads, still set after, and the process has one thread
+        assert self._fresh("-c", code).split() == ["1", "1", "1"]
+
+    def test_user_blas_setting_wins(self):
+        code = self.PROBE + "import cfarkit.cli\nprint(os.environ['OPENBLAS_NUM_THREADS'])\n"
+        assert self._fresh("-c", code, blas="3").split() == ["3", "3"]
+
+    def test_library_import_leaves_blas_alone(self):
+        code = self.PROBE + "import cfarkit\ncfarkit.ca_pd\n"
+        assert self._fresh("-c", code).split() == ["None"]
+
+    def test_every_public_name_resolves(self):
+        namespace = {}
+        exec("from cfarkit import *", namespace)
+        for name in cfarkit.__all__:
+            assert namespace[name] is getattr(cfarkit, name)
+        assert set(cfarkit.__all__) <= set(dir(cfarkit))
+        with pytest.raises(AttributeError, match="no_such_name"):
+            cfarkit.no_such_name
+
+    @pytest.mark.parametrize("command, config", [
+        ("pd-curve", "montecarlo_config"),
+        ("regulation", "regulation_config"),
+    ])
+    def test_csv_is_independent_of_blas_threads(self, command, config, request):
+        args = ("-m", "cfarkit.cli", command, "--config", request.getfixturevalue(config),
+                "--workers", "2")
+        unset = self._fresh(*args)
+        assert unset and self._fresh(*args, blas="2") == unset
 
 
 class TestRunPlan:

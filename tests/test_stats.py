@@ -88,6 +88,20 @@ class TestRates:
         with pytest.raises(ValueError):
             TargetContext(-1.0)
 
+    @pytest.mark.parametrize("rate", [1e-300, 3e-307, 1e-310, 2.0**-961])
+    def test_rate_too_small_for_finite_draws_is_refused(self, rate):
+        # below 2**-960 a unit draw divided by the rate can overflow to inf
+        with pytest.raises(ValueError, match="2\\*\\*-960"):
+            ClutterModel(rate)
+
+    @pytest.mark.parametrize("rate", [2.0**-960, 1.7e308])
+    def test_extreme_accepted_rates_give_finite_draws(self, rate):
+        model = ClutterModel(rate)
+        # the largest unit draw, -log1p(-U) at the largest U below 1
+        largest = -math.log1p(-(1.0 - 2.0**-53)) / model.rate
+        assert math.isfinite(largest * 2.0**58)  # also a sum of 2**58 such cells
+        assert np.isfinite(sample_exponential(model, 1000, RandomStream(1))).all()
+
 
 class TestRandomStream:
     def test_same_stream_same_samples(self):
