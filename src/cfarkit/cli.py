@@ -7,9 +7,9 @@ Subcommands::
     regulation   false-alarm regulation under a clutter-power edge (CSV/JSON)
     verify       run the invariant self-checks and report a table
 
-Exit codes: 0 success, 1 validation error, 2 solver failure,
-3 verification failure.  Output is deterministic: a config rerun with the
-same seed is byte-identical for any worker count.
+Exit codes: 0 success, 1 validation error (or out of memory), 2 solver
+failure, 3 verification failure.  Output is deterministic: a config
+rerun with the same seed is byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -226,7 +226,7 @@ def _cmd_verify(args) -> int:
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         failures += 0 if r.passed else 1
-        print(f"{r.name:<{width}}  {status}  {r.detail}")
+        print(f"{r.name:<{width}}  {status}  {r.seconds:7.3f} s  {r.detail}")
     print(f"{len(results) - failures}/{len(results)} properties passed")
     return 0 if failures == 0 else 3
 
@@ -286,6 +286,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (ValueError, OSError) as exc:
         print(f"cfarkit: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # a grid or a run plan too large to hold
+        # drop the frames of this error and of those it arose from: they hold what filled memory
+        exc.__traceback__ = exc.__context__ = exc.__cause__ = None
+        print(f"cfarkit: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
         return 1
 
 

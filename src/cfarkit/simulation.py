@@ -8,14 +8,16 @@ draws every sample once from the substream ``stream.substream(b)``, and
 every point of the batch is counted on those samples (common random
 numbers), so the rows of one curve are positively correlated, each row
 is still binomial, and Pd never decreases along an SCR grid.  Within a
-block the draw order is: CUT vector, then CRP matrix row by row, each
-divided by the clutter rate; nothing else is drawn.  A block draws and
-consumes its CRP one chunk of rows at a time, never holding the matrix.
-A batch of one point is a single estimate.  A batch with one cell
-scaling (an SCR grid, an estimate) computes the clutter statistic once
-per trial; a clutter-edge batch screens each chunk once per CUT scale
-and computes the statistic at every affected count only on the trials
-the screen keeps.  Every statistic that decides a counted trial comes
+block the draw order is: CUT vector, then CRP matrix row by row, one
+uniform ``U`` per value, the value being ``-log1p(-U)`` over the clutter
+rate; nothing else is drawn.  A block draws its CRP one chunk of rows at
+a time, never holding the matrix.  A batch of one point is a single
+estimate.  A batch with one cell scaling (an SCR grid, an estimate)
+computes the clutter statistic once per trial; a clutter-edge batch
+screens each chunk once per CUT scale (the sum and the order statistics
+on its raw uniforms, before any cell is computed) and computes the
+statistic at every affected count only on the trials the screens keep.
+Every statistic that decides a counted trial comes
 from :func:`cfarkit.detector._stat_rows`.  Per-block success counts are
 combined by exact integer addition, so results are identical for any
 worker count and any scheduling order.
@@ -54,8 +56,8 @@ from .detector import (
     _row_chunks,
     _stat_rows,
 )
-from .stats import ClutterModel, RandomStream, TargetContext, db_to_linear, unit_exponential
-from .stats import _unit_exponential_into
+from .stats import ClutterModel, RandomStream, TargetContext, db_to_linear
+from .stats import _unit_exponential_of
 
 __all__ = [
     "BLOCK_TRIALS",
@@ -84,7 +86,11 @@ def __getattr__(name: str):
 
 
 BLOCK_TRIALS = 1 << 16
-_SCREEN_SLACK = 2.0**-30  # relative margin of the sum and GM edge screens
+_SCREEN_SLACK = 2.0**-30  # relative margin of the edge screens that round
+# beyond these a draw over the rate, or tau times it, can be subnormal, where
+# rounding is not relative: edge chunks then skip the uniform screen
+_SCREEN_MAX_RATE = 2.0**969
+_SCREEN_MIN_TAU = 2.0**-1000
 
 
 @dataclass(frozen=True)
@@ -245,12 +251,18 @@ class _TrialBatch:
     cells: tuple[float, ...] | _Edge = ()
 
 
-def _crp_chunks(gen: np.random.Generator, trials: int, n: int, rate: float):
-    """``(first row, rows)`` of the CRP, drawn in order into the buffer of :func:`_row_chunks`."""
-    for start, x in _row_chunks(trials, n):
-        _unit_exponential_into(gen, x)
-        x /= rate
-        yield start, x
+def _uniform_chunks(gen: np.random.Generator, trials: int, n: int):
+    """``(first row, rows)`` of the CRP's uniforms, drawn in order into one chunk buffer."""
+    for start, u in _row_chunks(trials, n):
+        gen.random(out=u)
+        yield start, u
+
+
+def _cells(u: np.ndarray, rate: float) -> np.ndarray:
+    """Clutter cells ``-log1p(-u) / rate`` of the C-contiguous uniforms ``u``, in place."""
+    _unit_exponential_of(u)
+    u /= rate
+    return u
 
 
 def _batch_successes(batch: _TrialBatch) -> list[int]:
@@ -261,13 +273,13 @@ def _batch_successes(batch: _TrialBatch) -> list[int]:
     :func:`_edge_successes`.
     """
     gen = batch.stream.generator()
-    cut = unit_exponential(gen, batch.trials)
-    cut /= batch.rate
-    chunks = _crp_chunks(gen, batch.trials, batch.spec.window_length, batch.rate)
+    cut = _cells(gen.random(batch.trials), batch.rate)
+    chunks = _uniform_chunks(gen, batch.trials, batch.spec.window_length)
     if isinstance(batch.cells, _Edge):
         return _edge_successes(batch, chunks, cut)
     limit = np.empty(batch.trials)
-    for start, x in chunks:
+    for start, u in chunks:
+        x = _cells(u, batch.rate)
         if batch.cells:
             x *= batch.cells
         limit[start : start + len(x)] = _stat_rows(batch.spec.stat, x)
@@ -276,41 +288,108 @@ def _batch_successes(batch: _TrialBatch) -> list[int]:
 
 
 def _edge_successes(batch: _TrialBatch, chunks, cut: np.ndarray) -> list[int]:
-    """Successes at every point of a clutter edge, in one pass over the CRP ``chunks``.
+    """Successes at every point of a clutter edge, in one pass over the CRP's uniform ``chunks``.
 
-    Point ``p`` boosts the first ``j = counts[p]`` cells by ``B``.  Points
+    Point ``p`` boosts the first ``j = counts[p]`` cells by ``B``; points
     that share a CUT scale form a group.  ``B >= 1`` and every statistic is
     nondecreasing in every cell, so a trial that fires at any count of a
-    group fires at the group's smallest count ``j_min``.  A screen
-    (:func:`_edge_screen`) decides each chunk's trials at ``j_min``; only
-    those it keeps (under 1% at design Pfa 1e-3) are set aside, and once a
-    chunk's worth waits, and at the end, go through the per-count
-    evaluation (:func:`_edge_hits`).  A kept trial gets the same verdicts as
-    in a pass over every trial, so the screen changes no count.  The
-    geometric mean is screened on each chunk's log sums; the kept rows are
-    its raw cells.
+    group fires at its smallest count ``j_min``, where the group screens
+    each chunk.  The sum and the order statistics screen the raw uniforms
+    first (:func:`_uniform_screen`; it keeps 0.2-4% at design Pfa 1e-3 and
+    a 2 dB edge), and once a quarter chunk of kept rows waits they alone
+    are turned into cells, by the transform of whole chunks, so bit for
+    bit.  The geometric mean, and a rate or threshold outside the normal
+    range that screen relies on, turn every chunk into cells.
+    :func:`_edge_screen` keeps the rows that fire at ``j_min`` (under 1%),
+    and once a chunk's worth waits they go through :func:`_edge_hits`.  The
+    waits bound a block's memory and give each call many rows.  Each
+    screen keeps every trial that fires at some count, so none changes.
     """
-    spec, boost = batch.spec, batch.cells.boost
+    spec, boost, rate = batch.spec, batch.cells.boost, batch.rate
+    tau = spec.threshold_multiplier
     counts = np.asarray(batch.cells.counts, dtype=np.intp)
     scales = np.asarray(batch.cut_scales)
     groups = [np.flatnonzero(scales == scale) for scale in np.unique(scales)]
-    kept = [([], []) for _ in groups]  # per group: screened rows and CUTs not yet evaluated
+    lows = [int(counts[members].min()) for members in groups]
+    raw = (not isinstance(spec.stat, GeometricMean) and rate <= _SCREEN_MAX_RATE
+           and not 0.0 < tau < _SCREEN_MIN_TAU)
+    weights = [_screen_weights(spec, boost, j) if raw else None for j in lows]
+    raw_kept = [([], []) for _ in groups]  # per group: kept uniform rows and CUTs, waiting
+    kept = [([], []) for _ in groups]  # per group: kept cell rows and CUTs, waiting
     hits = np.zeros(len(counts), dtype=np.int64)
-    for start, x in chunks:
-        with np.errstate(divide="ignore"):  # a zero cell sends the GM's log sum to -inf, g to 0
-            screened = np.log(x).sum(axis=1) if isinstance(spec.stat, GeometricMean) else x
-        end = start + len(x)
-        for members, (xs, zcs) in zip(groups, kept):
-            zc = cut[start:end] * scales[members[0]]
-            keep = _edge_screen(spec, boost, screened, zc, counts[members].min())
+    for start, u in chunks:
+        last = start + len(u) == len(cut)
+        if not raw:
+            x = _cells(u, rate)
+            with np.errstate(divide="ignore"):  # a zero cell: the GM's log sum is -inf, g is 0
+                screened = np.log(x).sum(axis=1) if isinstance(spec.stat, GeometricMean) else x
+        for members, j, w, (us, uzcs), (xs, zcs) in zip(groups, lows, weights, raw_kept, kept):
+            zc = cut[start : start + len(u)] * scales[members[0]]
+            if raw:
+                keep = _uniform_screen(spec.stat, u, zc * rate, w, j)
+                us.append(u[keep])
+                uzcs.append(zc[keep])
+                if not (last or sum(map(len, uzcs)) >= len(u) // 4):
+                    continue
+                x, zc = _take(us, uzcs)
+                screened = _cells(x, rate)
+            keep = _edge_screen(spec, boost, screened, zc, j)
             xs.append(x[keep])
             zcs.append(zc[keep])
-            if end == len(cut) or sum(map(len, zcs)) >= len(x):
-                waiting = np.concatenate(xs), np.concatenate(zcs)
-                xs.clear()
-                zcs.clear()
-                hits[members] += _edge_hits(spec, boost, *waiting, counts[members])
+            if last or sum(map(len, zcs)) >= len(u):
+                hits[members] += _edge_hits(spec, boost, *_take(xs, zcs), counts[members])
     return hits.tolist()
+
+
+def _take(rows: list, cuts: list) -> tuple[np.ndarray, np.ndarray]:
+    """The waiting ``rows`` and their ``cuts``, each joined into one array; empties the lists."""
+    taken = np.concatenate(rows), np.concatenate(cuts)
+    rows.clear()
+    cuts.clear()
+    return taken
+
+
+def _screen_weights(spec: DetectorSpec, boost: float, j: int) -> np.ndarray:
+    """Per-cell weights of :func:`_uniform_screen` with the first ``j`` cells boosted.
+
+    ``tau`` less twice ``_SCREEN_SLACK`` (the sum screen's own slack, then
+    rounding), times ``boost`` on the first ``j`` cells, at most the largest
+    double over ``N``, so that a row's weighted sum stays finite and a zero
+    uniform never meets an infinite weight.  Lower weights keep more rows.
+    """
+    n = spec.window_length
+    w = np.full(n, spec.threshold_multiplier * (1.0 - 2.0 * _SCREEN_SLACK))
+    with np.errstate(over="ignore"):
+        w[:j] *= boost
+    return np.minimum(w, np.finfo(float).max / n)
+
+
+def _uniform_screen(
+    stat: StatKind, u: np.ndarray, zl: np.ndarray, w: np.ndarray, j: int
+) -> np.ndarray:
+    """Rows of the uniforms ``u`` that may fire: a superset of those :func:`_edge_screen` keeps.
+
+    ``zl`` is the rows' scaled CUT times the clutter rate, ``w`` comes from
+    :func:`_screen_weights`.  A cell ``-log1p(-u) / rate`` enters the test
+    as ``w * -log1p(-u) < zl``.  The sum is nondecreasing in every cell and
+    ``-log1p(-u) >= u``, so it tests ``sum(w * u) < zl``.  An order
+    statistic ``k`` counts the cells below the CUT, and a cell is below
+    exactly when ``u < -expm1(-zl / w)``: the row's two limits (boosted and
+    not) become uniforms instead of its ``N`` uniforms becoming cells.  The
+    limits are raised by twice ``_SCREEN_SLACK``, an absolute margin near 1.
+    In the normal range every rounding here is relative and far inside the
+    slack.
+    """
+    if isinstance(stat, Sum):
+        return np.einsum("ij,j->i", u, w) < zl
+    n = len(w)
+    with np.errstate(all="ignore"):  # a zero weight: limit 1, or NaN (none) for a zero CUT
+        limits = np.stack([np.expm1(zl / -w[0]), np.expm1(zl / -w[-1])], axis=1)
+    limits *= -(1.0 + 2.0 * _SCREEN_SLACK)
+    below = u <= np.repeat(limits, [j, n - j], axis=1)
+    # einsum sums rows faster than count_nonzero, and fastest in uint8, which holds counts to 255
+    count = np.einsum("ij->i", below.view(np.uint8), dtype=np.uint8 if n < 256 else np.intp)
+    return count >= stat.k
 
 
 def _edge_screen(
@@ -319,10 +398,12 @@ def _edge_screen(
     """Trials that may fire with the first ``j`` cells boosted: a superset of those that do.
 
     ``x`` holds the trials' cells (their log sums for the geometric mean)
-    and ``zc`` their scaled CUT.  An order statistic ``k`` (``min`` is
-    ``k = 1``) counts the cells with ``fl(tau * y) < zc``; rounding is
-    monotone, so that count reaches ``k`` exactly when ``fl(tau * y_(k)) < zc``,
-    and the screen keeps exactly the trials that fire at ``j``.  The sum
+    and ``zc`` their scaled CUT: the rows :func:`_uniform_screen` kept, or
+    every row of a chunk where that screen does not apply.  An order
+    statistic ``k`` (``min`` is ``k = 1``) counts the cells with
+    ``fl(tau * y) < zc``; rounding is monotone, so that count reaches ``k``
+    exactly when ``fl(tau * y_(k)) < zc``, and the screen keeps exactly the
+    trials that fire at ``j``.  The sum
     and the geometric mean lower the threshold by the relative
     ``_SCREEN_SLACK``, far above the few ulps by which the rounding of
     their sums (about ``N`` ulps) and of ``exp`` can break the order of

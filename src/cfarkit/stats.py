@@ -144,16 +144,19 @@ def unit_exponential(gen: np.random.Generator, shape: int | tuple[int, ...]) -> 
     One uniform variate is consumed per sample, in order, so the mapping
     from stream position to sample is branch-free and reproducible.
     """
-    return _unit_exponential_into(gen, np.empty(shape))
+    return _unit_exponential_of(gen.random(shape))
 
 
-def _unit_exponential_into(gen: np.random.Generator, out: np.ndarray) -> np.ndarray:
-    """Fill the C-contiguous ``out`` with what :func:`unit_exponential` would return."""
-    gen.random(out=out)
-    np.negative(out, out=out)
-    np.log1p(out, out=out)
-    np.negative(out, out=out)
-    return out
+def _unit_exponential_of(u: np.ndarray) -> np.ndarray:
+    """Turn the C-contiguous uniforms ``u`` into unit exponentials in place, as above.
+
+    The transform is elementwise, so rows transformed on their own equal the
+    same rows of a transformed chunk bit for bit.
+    """
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    np.negative(u, out=u)
+    return u
 
 
 def sample_exponential(model: ClutterModel, n: int, stream: RandomStream) -> np.ndarray:

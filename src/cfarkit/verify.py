@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import time
 from dataclasses import dataclass
 from typing import Callable
 
@@ -42,6 +43,7 @@ class PropertyResult:
     name: str
     passed: bool
     detail: str
+    seconds: float  # wall time of the check
 
 
 def _check_scale_invariance() -> tuple[bool, str]:
@@ -237,14 +239,16 @@ def available_properties() -> tuple[str, ...]:
 
 
 def run_properties(name_filter: str | None = None) -> list[PropertyResult]:
-    """Run all (or substring-matching) properties and collect results."""
+    """Run all (or substring-matching) properties and collect results, each with its wall time."""
     results = []
     for name, check in _REGISTRY:
         if name_filter and name_filter not in name:
             continue
+        start = time.perf_counter()
         try:
             passed, detail = check()
         except Exception as exc:  # a crash is a failure, not an abort
             passed, detail = False, f"raised {type(exc).__name__}: {exc}"
-        results.append(PropertyResult(name=name, passed=passed, detail=detail))
+        seconds = time.perf_counter() - start
+        results.append(PropertyResult(name, passed, detail, seconds))
     return results

@@ -4,8 +4,11 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -20,6 +23,7 @@ from cfarkit.analytic import (
     os_pd,
     os_threshold,
 )
+from cfarkit import cli
 from cfarkit.cli import main
 from cfarkit.config import RunConfig
 from cfarkit.detector import OrderStatistic
@@ -311,6 +315,59 @@ class TestDecibelOverflow:
         assert err.count("\n") == 1 and "5000" in err and "dB" in err
 
 
+class TestOutOfMemory:
+    """A run too large to hold in memory exits 1 with one line, not a traceback."""
+
+    @pytest.mark.parametrize("message", ["", "Unable to allocate 8.00 EiB for an array"],
+                             ids=["bare", "numpy"])
+    @pytest.mark.parametrize("command, make_rows, lines", [
+        ("pd-curve", "_pd_curve_rows", "scr_db = 0\ninterference_db = 5\n"),
+        ("regulation", "_regulation_rows", ""),
+    ], ids=["pd-curve", "regulation"])
+    def test_memory_error_fails_with_one_line(
+        self, command, make_rows, lines, message, monkeypatch, tmp_path, capsys
+    ):
+        def exhausted(cfg):
+            raise MemoryError(message) if message else MemoryError
+
+        monkeypatch.setattr(cli, make_rows, exhausted)
+        path = tmp_path / "big.cfg"
+        path.write_text(f"detectors = ca\nwindow = 16\nruns = 100\n{lines}")
+        code, out, err = run_cli(command, "--config", str(path), capsys=capsys)
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and err.startswith("cfarkit: out of memory")
+        assert message in err
+
+    def test_memory_error_releases_what_its_frames_hold(self, monkeypatch, tmp_path, capsys):
+        # a run plan that fills memory can fail twice, the second error raised
+        # while the first is handled; both tracebacks hold the frame with the plan
+        class Plan:
+            pass
+
+        plans = []
+
+        def exhausted(cfg):
+            plan = Plan()
+            plans.append(weakref.ref(plan))
+            try:
+                raise MemoryError
+            except MemoryError:
+                raise MemoryError
+
+        def printed(*args, **kwargs):  # the message needs memory: the plan must be gone by then
+            freed.append(plans[0]() is None)
+            print(*args, **kwargs)
+
+        freed = []
+        monkeypatch.setattr(cli, "_regulation_rows", exhausted)
+        monkeypatch.setattr(cli, "print", printed, raising=False)
+        path = tmp_path / "big.cfg"
+        path.write_text("detectors = ca\nwindow = 16\nruns = 100\n")
+        code, out, err = run_cli("regulation", "--config", str(path), capsys=capsys)
+        assert code == 1 and out == "" and err == "cfarkit: out of memory\n"
+        assert freed == [True]
+
+
 class TestClutterRate:
     """The CFAR rows do not depend on lambda; a lambda whose draws overflow is refused."""
 
@@ -360,6 +417,31 @@ class TestVerifyCommand:
     def test_unmatched_filter_is_error(self, capsys):
         code, _, err = run_cli("verify", "--filter", "no-such-property", capsys=capsys)
         assert code == 1 and "no-such-property" in err
+
+    def test_every_result_line_carries_its_wall_time(self, monkeypatch, capsys):
+        from cfarkit import verify
+
+        def slow():
+            time.sleep(0.05)
+            return True, "slept"
+
+        registry = dict(verify._REGISTRY)
+        monkeypatch.setattr(verify, "_REGISTRY", (
+            ("exchangeability", registry["exchangeability"]),
+            ("slow", slow),
+            ("fails", lambda: (False, "by design")),
+            ("raises", lambda: 1 / 0),
+        ))
+        code, out, _ = run_cli("verify", capsys=capsys)
+        *lines, summary = out.splitlines()
+        assert code == 3 and summary == "2/4 properties passed"
+        times = {}
+        for line in lines:
+            match = re.fullmatch(r"(\S+) +(PASS|FAIL) +(\d+\.\d{3}) s  .+", line)
+            assert match, line
+            times[match[1]] = float(match[3])
+        assert list(times) == ["exchangeability", "slow", "fails", "raises"]
+        assert times["slow"] >= 0.05
 
 
 class TestConfigParsing:

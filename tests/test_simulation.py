@@ -497,6 +497,104 @@ class TestCommonRandomNumbers:
         assert peak < 0.25 * matrix, peak / matrix
 
 
+class TestUniformScreen:
+    """Edge chunks are screened on their raw uniforms; only the kept rows become cells."""
+
+    ROWS = 4096
+
+    @staticmethod
+    def tightest_cut(spec, boost, x, j):
+        """Per row, the smallest scaled CUT that ``_edge_screen`` keeps at ``j`` (inf: none)."""
+        tau = spec.threshold_multiplier
+        with np.errstate(over="ignore"):
+            if isinstance(spec.stat, Sum):
+                limit = x[:, :j].sum(axis=1) * boost + x[:, j:].sum(axis=1)
+                limit *= tau * (1.0 - simulation._SCREEN_SLACK)
+            else:
+                lifted = x.copy()
+                lifted[:, :j] *= boost
+                lifted *= tau
+                limit = np.partition(lifted, spec.stat.k - 1, axis=1)[:, spec.stat.k - 1]
+        return np.nextafter(limit, np.inf)
+
+    SCREENS = {**SCREEN_CASES,  # and weights that overflow, where the clamp decides
+               "3080dB": (EDGE, 3080.0, 1.0), "3080dB-rate2.5": (EDGE, 3080.0, 2.5)}
+    CASES = [
+        (case, n, name)
+        for case in SCREENS for n in (16, 32) for name in ("sum", "os13", "min", "osN")
+    ]
+
+    @pytest.mark.parametrize("case, n, name", CASES, ids=[f"{c}-N{n}-{s}" for c, n, s in CASES])
+    def test_keeps_every_row_the_cell_screen_keeps(self, case, n, name):
+        counts, boost_db, rate = self.SCREENS[case]
+        counts = tuple(j * n // 16 for j in counts)
+        stat = {"sum": Sum(), "os13": OrderStatistic(13), "min": Minimum(),
+                "osN": OrderStatistic(n)}[name]
+        spec = DetectorSpec(stat, n, 0.0 if case == "pfa1" else resolve_threshold(stat, n, 1e-2))
+        boost = db_to_linear(boost_db)
+        gen = RandomStream(93, n).generator()
+        cut = simulation._cells(gen.random(self.ROWS), rate)
+        u = gen.random((self.ROWS, n))
+        # rows where u and -log1p(-u) nearly agree, where the limits near 1, and both
+        u[:64] *= 2.0**-36
+        u[64:128] = 1.0 - u[64:128] * 2.0**-36
+        u[128:192, ::2] *= 2.0**-36
+        u[192:256, ::2] = 1.0 - u[192:256, ::2] * 2.0**-36
+        u[256], u[257] = 0.0, np.nextafter(1.0, 0.0)
+        x = simulation._cells(u.copy(), rate)
+        lows = {}  # smallest count per CUT scale, as the edge pass groups them
+        for j in counts:
+            scale = boost if j > n // 2 else 1.0
+            lows[scale] = min(j, lows.get(scale, j))
+        for scale, j in lows.items():
+            w = simulation._screen_weights(spec, boost, j)
+            tight = self.tightest_cut(spec, boost, x, j)
+            with np.errstate(over="ignore"):  # near 3080 dB CUTs and sums overflow to inf
+                for zc in (cut * scale, tight):
+                    on_cells = simulation._edge_screen(spec, boost, x, zc, j)
+                    on_uniforms = simulation._uniform_screen(stat, u, zc * rate, w, j)
+                    assert on_uniforms[on_cells].all(), (scale, j)
+                # the tightest CUTs sit on the cell screen's boundary: it keeps each finite one
+                assert np.array_equal(simulation._edge_screen(spec, boost, x, tight, j),
+                                      np.isfinite(tight))
+
+    @pytest.mark.parametrize("rate", [1.0, 2.5, 2.0**-960])
+    def test_kept_rows_turn_into_the_cells_of_the_whole_chunk(self, rate):
+        gen = RandomStream(94).generator()
+        u = gen.random((1024, 32))
+        u[0, :3] = 0.0, np.nextafter(1.0, 0.0), 2.0**-53  # the extreme uniforms
+        whole = simulation._cells(u.copy(), rate)
+        picks = [gen.random(len(u)) < p for p in (0.001, 0.02, 0.3, 0.9)]
+        picks += [np.arange(len(u)) == 0, np.arange(len(u)) < 7, np.ones(len(u), dtype=bool)]
+        for pick in picks:
+            rows = simulation._cells(u[pick], rate)
+            assert rows.view(np.int64).tolist() == whole[pick].view(np.int64).tolist()
+        # the CUT vector goes through the same transform
+        assert np.array_equal(simulation._cells(u[:, 5].copy(), rate), whole[:, 5])
+
+    @pytest.mark.parametrize("spec", STATS_16, ids=STAT_IDS)
+    def test_few_rows_reach_the_transform(self, spec, monkeypatch):
+        # design Pfa 1e-3, 2 dB edge: the uniform screen passes few of a block's
+        # CRP rows on to the transform; the geometric mean transforms them all
+        rows, cells = [], simulation._cells
+
+        def counted(u, rate):
+            if u.ndim == 2:  # a CRP chunk or kept rows, not the CUT vector
+                rows.append(len(u))
+            return cells(u, rate)
+
+        monkeypatch.setattr(simulation, "_cells", counted)
+        spec = replace(spec, threshold_multiplier=resolve_threshold(spec.stat, 16, 1e-3))
+        _, batch = simulation._regulation_points(
+            spec, CLUTTER, RegulationSpec(1e-3, BLOCK_TRIALS, 2.0), RandomStream(89)
+        )
+        assert len(simulation._batch_successes(batch)) == 17
+        if isinstance(spec.stat, GeometricMean):
+            assert sum(rows) == BLOCK_TRIALS
+        else:
+            assert 0 < sum(rows) < 0.25 * BLOCK_TRIALS, sum(rows) / BLOCK_TRIALS
+
+
 class TestChunkSize:
     """The CRP chunk size bounds a block's memory and never changes a count."""
 
