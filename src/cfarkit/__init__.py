@@ -28,14 +28,12 @@ _SUBMODULE_OF = {
          "DetectorSpec", "clutter_statistic", "decide", "slide"),
         "detector"),
     **dict.fromkeys(
-        ("SolverSettings", "ThresholdSolverError", "ca_pd", "ca_pfa", "ca_threshold", "os_pd",
-         "os_pfa", "os_threshold", "gm_pd", "gm_pfa", "gm_threshold", "ideal_threshold",
-         "ideal_pd"),
+        ("ThresholdSolverError", "ca_pd", "ca_pfa", "ca_threshold", "os_pd", "os_pfa",
+         "os_threshold", "gm_pd", "gm_pfa", "gm_threshold", "ideal_threshold", "ideal_pd"),
         "analytic"),
     **dict.fromkeys(
-        ("FixedCells", "RandomUniform", "InterferenceSpec", "PdEstimate", "RegulationSpec",
-         "ExperimentSpec", "DetectorCurve", "estimate_pd", "pfa_regulation_curve", "scr_sweep",
-         "resolve_threshold"),
+        ("InterferenceSpec", "PdEstimate", "RegulationSpec", "ExperimentSpec", "DetectorCurve",
+         "estimate_pd", "pfa_regulation_curve", "scr_sweep", "resolve_threshold"),
         "simulation"),
 }
 

@@ -41,12 +41,10 @@ probability follows in one line: an exponential variate of rate
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "SolverSettings",
     "ThresholdSolverError",
     "ca_pd",
     "ca_pfa",
@@ -62,28 +60,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SolverSettings:
-    """Controls for the threshold solver (bracketed Newton in ``log tau``, OS and GM).
-
-    ``relative_tolerance`` bounds the relative false-alarm residual at the
-    returned threshold, and also its relative error where Pfa is near 1
-    (there ``|d log Pfa / d log tau| < 1``, so a small residual alone
-    leaves ``tau`` loose); ``max_iterations`` counts Pfa evaluations.
-    """
-
-    relative_tolerance: float = 1e-12
-    max_iterations: int = 200
-
-    def __post_init__(self) -> None:
-        if not self.relative_tolerance > 0:
-            raise ValueError("relative_tolerance must be > 0")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+# the threshold solver (bracketed Newton in ``log tau``, OS and GM) returns
+# once the relative Pfa residual is within _RELATIVE_TOLERANCE times
+# min(1, |d log Pfa / d log tau|), which also bounds the relative error of
+# tau where Pfa is near 1, and gives up after _MAX_EVALUATIONS evaluations
+_RELATIVE_TOLERANCE = 1e-12
+_MAX_EVALUATIONS = 200
 
 
 class ThresholdSolverError(RuntimeError):
-    """Raised when the threshold solver exhausts its iteration budget."""
+    """Raised when the threshold solver exhausts its evaluation budget."""
 
     def __init__(self, message: str, bracket: tuple[float, float]):
         super().__init__(f"{message} (last bracket [{bracket[0]!r}, {bracket[1]!r}])")
@@ -170,9 +156,7 @@ def os_pfa(tau: float, n: int, k: int) -> float:
     return os_pd(tau, 0.0, n, k)
 
 
-def os_threshold(
-    pfa: float, n: int, k: int, settings: SolverSettings = SolverSettings()
-) -> float:
+def os_threshold(pfa: float, n: int, k: int) -> float:
     """Invert the order-statistic Pfa for the threshold multiplier.
 
     Each factor ``i/(i + tau)`` lies between ``(N-k+1)/(N-k+1 + tau)`` and
@@ -189,7 +173,7 @@ def os_threshold(
     if math.isinf(n * unit):
         raise ValueError(f"minimum-detector multiplier at Pfa {pfa!r}, N={n} overflows")
     bracket = ((n - k + 1) * unit, n * unit)
-    return _solve_threshold(lambda tau: _os_log_prob(tau, n, k), pfa, settings, bracket)
+    return _solve_threshold(lambda tau: _os_log_prob(tau, n, k), pfa, bracket)
 
 
 # Stirling-series coefficients B_2j / (2j (2j - 1)), j = 1..7, summed by
@@ -302,7 +286,7 @@ def gm_pfa(tau: float, n: int) -> float:
     return gm_pd(tau, 0.0, n)
 
 
-def gm_threshold(pfa: float, n: int, settings: SolverSettings = SolverSettings()) -> float:
+def gm_threshold(pfa: float, n: int) -> float:
     """Invert the geometric-mean Pfa for the threshold multiplier.
 
     ``min <= g <= mean`` brackets the root between N times the CA
@@ -316,10 +300,10 @@ def gm_threshold(pfa: float, n: int, settings: SolverSettings = SolverSettings()
     except ValueError:
         raise ValueError(f"geometric-mean multiplier at Pfa {pfa!r}, N={n} overflows") from None
     hi = min(n * ca_threshold(max(pfa, 1e-308), 1), 1e308)  # kept finite
-    return _solve_threshold(lambda tau: _gm_quadrature(tau, n), pfa, settings, (lo, hi))
+    return _solve_threshold(lambda tau: _gm_quadrature(tau, n), pfa, (lo, hi))
 
 
-def _solve_threshold(log_prob, pfa: float, settings: SolverSettings, bracket) -> float:
+def _solve_threshold(log_prob, pfa: float, bracket) -> float:
     """Solve ``log Pfa(tau) = log(pfa)`` for ``tau`` in ``bracket``, ``0 < pfa <= 1``.
 
     ``log_prob(tau)`` returns ``log Pfa`` and ``d log Pfa / d log tau``;
@@ -327,17 +311,18 @@ def _solve_threshold(log_prob, pfa: float, settings: SolverSettings, bracket) ->
     so ``pfa = 1`` has the root 0.  Newton steps in ``log tau`` start from
     the lower edge, with bisection in ``log tau`` for a step that leaves
     the bracket.  The solve stops when the relative Pfa residual is within
-    ``settings.relative_tolerance`` times ``min(1, |slope|)``, which also
-    bounds the relative error of ``tau``, or the bracket is within machine
-    precision, at once for a bracket of zero width.  Exhausting the
-    iteration budget raises :class:`ThresholdSolverError` with the last bracket.
+    ``_RELATIVE_TOLERANCE`` times ``min(1, |slope|)``, which also bounds
+    the relative error of ``tau``, or the bracket is within machine
+    precision, at once for a bracket of zero width.  ``_MAX_EVALUATIONS``
+    evaluations without either raise :class:`ThresholdSolverError` with
+    the last bracket.
     """
     if pfa == 1.0:
         return 0.0
     log_pfa = math.log(pfa)
     lo, hi = bracket
     cand, best, f_best = lo, lo, math.inf
-    for _ in range(settings.max_iterations):
+    for _ in range(_MAX_EVALUATIONS):
         if hi - lo <= 4.0 * math.ulp(hi):
             return best
         f_cand, slope = log_prob(cand)
@@ -346,7 +331,7 @@ def _solve_threshold(log_prob, pfa: float, settings: SolverSettings, bracket) ->
             best, f_best = cand, f_cand
         # |expm1(log residual)| is the relative Pfa error at the candidate, and
         # that over |slope| the relative error of tau, large where Pfa is near 1
-        if abs(math.expm1(f_cand)) <= settings.relative_tolerance * min(1.0, -slope):
+        if abs(math.expm1(f_cand)) <= _RELATIVE_TOLERANCE * min(1.0, -slope):
             return cand
         if f_cand > 0.0:
             lo = cand

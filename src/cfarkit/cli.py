@@ -35,12 +35,12 @@ from .detector import DetectorSpec, GeometricMean, OrderStatistic, Sum
 from .simulation import (
     InterferenceSpec,
     RegulationSpec,
+    _detection_batch,
     _point_estimates,
     _regulation_points,
-    _scr_points,
     resolve_threshold,
 )
-from .stats import ClutterModel, RandomStream, db_to_linear
+from .stats import ClutterModel, RandomStream, TargetContext, db_to_linear
 
 __all__ = ["main", "console_main"]
 
@@ -145,6 +145,7 @@ def _cmd_threshold(args) -> int:
 def _pd_curve_rows(cfg: RunConfig) -> list[list]:
     clutter = ClutterModel(cfg.clutter_rate)
     base = RandomStream(cfg.seed)
+    targets = [TargetContext.from_db(scr_db) for scr_db in cfg.scr_db]
     rows: list[list] = []
     pending, batches = [], []  # Monte Carlo rows, completed from one call below
     for d_index, req in enumerate(cfg.detectors):
@@ -164,12 +165,9 @@ def _pd_curve_rows(cfg: RunConfig) -> list[list]:
                         [label, stat_name, k_text, scr_db, pd, 0.0, pd, pd, 0, "analytic"]
                     )
                 continue
-            interference = InterferenceSpec(
-                cfg.interference_count, inr_db, cfg.interference_placement
-            )
-            batches.append(_scr_points(
-                spec, clutter, interference, cfg.scr_db, cfg.runs, base,
-                (d_index, *spec.stream_key(), i_index),
+            batches.append(_detection_batch(
+                spec, clutter, targets, InterferenceSpec(cfg.interference_count, inr_db),
+                cfg.runs, base.substream(d_index, *spec.stream_key(), i_index),
             ))
             curve = [[label, stat_name, k_text, scr_db] for scr_db in cfg.scr_db]
             rows += curve
@@ -200,8 +198,8 @@ def _regulation_rows(cfg: RunConfig) -> list[list]:
         if req.kind == "ideal":
             raise ValueError("detector 'ideal': regulation applies to adaptive detectors only")
         spec = _resolve(req, cfg)
-        counts, batch = _regulation_points(spec, clutter, reg, base.substream(d_index))
-        rows += [[req.label(), j] for j in counts]
+        batch = _regulation_points(spec, clutter, reg, base.substream(d_index))
+        rows += [[req.label(), j] for j in batch.counts]
         batches.append(batch)
     for row, est in zip(rows, _point_estimates(batches, cfg.workers)):
         row += [est.p_hat, est.standard_error, cfg.design_pfa, cfg.boost_db, est.runs]

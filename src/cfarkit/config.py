@@ -20,11 +20,10 @@ Example::
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .detector import GeometricMean, OrderStatistic, StatKind, Sum
-from .simulation import FixedCells, Placement, RandomUniform
 
 __all__ = ["DetectorRequest", "RunConfig", "parse_key_values"]
 
@@ -136,10 +135,12 @@ def _parse_interference_db(value: str, key: str) -> tuple[float | None, ...]:
     return tuple(entries)
 
 
-def _parse_placement(value: str, key: str) -> Placement:
-    if value.strip().lower() == "random":
-        return RandomUniform()
-    return FixedCells(tuple(_parse_count(v.strip(), key) for v in value.split(",")))
+def _check_placement(value: str, key: str) -> None:
+    if value.strip().lower() != "random":
+        raise ValueError(
+            f"{key}: only 'random' is accepted, got {value!r}; every statistic is symmetric"
+            " in the CRP cells, so placement is immaterial"
+        )
 
 
 def _parse_affected(value: str, key: str) -> tuple[int, ...]:
@@ -150,7 +151,8 @@ def _parse_affected(value: str, key: str) -> tuple[int, ...]:
 
 
 # config key -> (RunConfig field, parser), in parsing order; ``experiment``
-# is accepted in every mode and only checked against the requested mode
+# is accepted in every mode and only checked against the requested mode, and
+# a key with no field is only checked
 _COMMON_FIELDS = {
     "detectors": ("detectors", _parse_detectors),
     "lambda": ("clutter_rate", _parse_float),
@@ -167,7 +169,7 @@ _FIELDS_BY_MODE = {
         "scr_db": ("scr_db", _parse_grid),
         "interference_db": ("interference_db", _parse_interference_db),
         "interference_count": ("interference_count", _parse_count),
-        "interference_placement": ("interference_placement", _parse_placement),
+        "interference_placement": (None, _check_placement),
     },
     "regulation": {
         **_COMMON_FIELDS,
@@ -195,7 +197,6 @@ class RunConfig:
     scr_db: tuple[float, ...] = ()
     interference_db: tuple[float | None, ...] = (None,)
     interference_count: int = 1
-    interference_placement: Placement = field(default_factory=RandomUniform)
     # regulation
     boost_db: float = 10.0
     affected: tuple[int, ...] | None = None
@@ -237,4 +238,5 @@ class RunConfig:
         kwargs = {
             name: parse(raw[key], key) for key, (name, parse) in fields.items() if key in raw
         }
+        kwargs.pop(None, None)
         return cls(mode=mode, **kwargs)

@@ -12,11 +12,12 @@ block the draw order is: CUT vector, then CRP matrix row by row, one
 uniform ``U`` per value, the value being ``-log1p(-U)`` over the clutter
 rate; nothing else is drawn.  A block draws its CRP one chunk of rows at
 a time, never holding the matrix.  A batch of one point is a single
-estimate.  A batch with one cell scaling (an SCR grid, an estimate)
-computes the clutter statistic once per trial; a clutter-edge batch
-screens each chunk once per CUT scale (the sum and the order statistics
-on its raw uniforms, before any cell is computed) and computes the
-statistic at every affected count only on the trials the screens keep.
+estimate.  A batch whose points scale the same number of cells (an SCR
+grid, an estimate, one edge count) computes the clutter statistic once
+per trial; a batch whose counts differ (a clutter-edge sweep) screens
+each chunk once per CUT scale (the sum and the order statistics on its
+raw uniforms, before any cell is computed) and computes the statistic
+at every count only on the trials the screens keep.
 Every statistic that decides a counted trial comes
 from :func:`cfarkit.detector._stat_rows`.  Per-block success counts are
 combined by exact integer addition, so results are identical for any
@@ -27,15 +28,13 @@ of the run, split each batch into its blocks, and map all blocks through
 one process pool of at most one process per block.  With one worker, or
 a single block, the blocks run in the calling process.
 
-Interferer placement is not random within the engine: every statistic is
-permutation invariant, so ``RandomUniform`` placement is realised on CRP
-cells ``0..count-1``, which gives the same distribution.
-
 Interfering targets and boosted clutter are both realised by scaling:
 an exponential of rate ``lambda`` multiplied by ``c > 0`` is exponential
 of rate ``lambda/c``, so an interferer of linear INR ``I`` scales its cell
 by ``1 + I`` and a clutter-power step of ``x`` dB scales affected cells by
-``10**(x/10)``.
+``10**(x/10)``.  Every statistic is symmetric in the CRP cells, so where
+the scaled cells sit is immaterial: both scale the leading cells, and a
+point is a CUT scale and a count of leading cells.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analytic import SolverSettings, ca_threshold, gm_threshold, os_threshold
+from .analytic import ca_threshold, gm_threshold, os_threshold
 from .detector import (
     DetectorSpec,
     GeometricMean,
@@ -61,9 +60,6 @@ from .stats import _unit_exponential_of
 
 __all__ = [
     "BLOCK_TRIALS",
-    "FixedCells",
-    "RandomUniform",
-    "Placement",
     "InterferenceSpec",
     "PdEstimate",
     "RegulationSpec",
@@ -94,52 +90,23 @@ _SCREEN_MIN_TAU = 2.0**-1000
 
 
 @dataclass(frozen=True)
-class FixedCells:
-    """Interferers occupy the given 0-based CRP cells."""
-
-    indices: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(set(self.indices)) != len(self.indices):
-            raise ValueError("fixed interference cells must be distinct")
-        if any(i < 0 for i in self.indices):
-            raise ValueError("fixed interference cells must be nonnegative indices")
-
-
-@dataclass(frozen=True)
-class RandomUniform:
-    """Interferers occupy cells drawn uniformly (without replacement) per trial.
-
-    Every implemented statistic is permutation invariant, so the engine
-    realises this placement exactly by putting the interferers on CRP
-    cells ``0..count-1``.
-    """
-
-
-Placement = FixedCells | RandomUniform
-
-
-@dataclass(frozen=True)
 class InterferenceSpec:
     """Independent Swerling I interferers injected into the CRP.
 
     Each interfering cell is exponential with rate ``lambda/(1+I)`` where
-    ``I`` is the linear interference-to-clutter ratio.
+    ``I`` is the linear interference-to-clutter ratio.  The interferers
+    take the first ``count`` CRP cells; every statistic is symmetric in
+    the cells, so any other placement has the same distribution.
     """
 
     count: int
     inr_db: float
-    placement: Placement = RandomUniform()
 
     def __post_init__(self) -> None:
         if self.count < 0:
             raise ValueError(f"interferer count must be >= 0, got {self.count}")
         if not math.isfinite(self.inr_db):
             raise ValueError(f"INR must be finite, got {self.inr_db!r}")
-        if isinstance(self.placement, FixedCells) and len(self.placement.indices) != self.count:
-            raise ValueError(
-                f"{self.count} interferers but {len(self.placement.indices)} fixed cells"
-            )
 
 
 @dataclass(frozen=True)
@@ -226,21 +193,13 @@ class DetectorCurve:
 
 
 @dataclass(frozen=True)
-class _Edge:
-    """A clutter edge: at point ``p`` CRP cells ``0..counts[p]-1`` are scaled by ``boost``."""
-
-    boost: float
-    counts: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class _TrialBatch:
     """Picklable unit of work: trials from one stream, evaluated at several points.
 
-    Point ``p`` multiplies every trial's CUT by ``cut_scales[p]``.  The CRP
-    is scaled either alike at every point, column ``i`` by ``cells[i]`` (no
-    cell when ``cells`` is empty), or by an edge that scales a different
-    number of leading cells at each point.  All points share the same draws.
+    Point ``p`` multiplies every trial's CUT by ``cut_scales[p]`` and the
+    first ``counts[p]`` CRP cells by ``scale``, the batch's one cell scale:
+    ``1 + I`` for interferers, the boost of a clutter edge.  All points
+    share the same draws.
     """
 
     stream: RandomStream
@@ -248,7 +207,8 @@ class _TrialBatch:
     spec: DetectorSpec
     rate: float
     cut_scales: tuple[float, ...]
-    cells: tuple[float, ...] | _Edge = ()
+    counts: tuple[int, ...]
+    scale: float
 
 
 def _uniform_chunks(gen: np.random.Generator, trials: int, n: int):
@@ -268,23 +228,27 @@ def _cells(u: np.ndarray, rate: float) -> np.ndarray:
 def _batch_successes(batch: _TrialBatch) -> list[int]:
     """Successes of every point of ``batch`` on one draw of its trials.
 
-    The CUT vector comes first, then the CRP chunks; with one cell scaling
-    each chunk is reduced to its statistics, and an edge batch goes through
-    :func:`_edge_successes`.
+    The CUT vector comes first, then the CRP chunks.  Points that all scale
+    the same count reduce each chunk to its statistics once; points that
+    differ in their counts go through :func:`_edge_successes`.  A scale
+    near the largest double lifts cells, CUTs and sums to inf, which
+    compare as designed: a lifted cell never lets the CUT fire, and a
+    lifted CUT fires unless its limit is lifted too.
     """
     gen = batch.stream.generator()
     cut = _cells(gen.random(batch.trials), batch.rate)
     chunks = _uniform_chunks(gen, batch.trials, batch.spec.window_length)
-    if isinstance(batch.cells, _Edge):
-        return _edge_successes(batch, chunks, cut)
-    limit = np.empty(batch.trials)
-    for start, u in chunks:
-        x = _cells(u, batch.rate)
-        if batch.cells:
-            x *= batch.cells
-        limit[start : start + len(x)] = _stat_rows(batch.spec.stat, x)
-    limit *= batch.spec.threshold_multiplier
-    return [int(np.count_nonzero(cut * c > limit)) for c in batch.cut_scales]
+    with np.errstate(over="ignore"):
+        if len(set(batch.counts)) > 1:
+            return _edge_successes(batch, chunks, cut)
+        j = batch.counts[0]
+        limit = np.empty(batch.trials)
+        for start, u in chunks:
+            x = _cells(u, batch.rate)
+            x[:, :j] *= batch.scale
+            limit[start : start + len(x)] = _stat_rows(batch.spec.stat, x)
+        limit *= batch.spec.threshold_multiplier
+        return [int(np.count_nonzero(cut * c > limit)) for c in batch.cut_scales]
 
 
 def _edge_successes(batch: _TrialBatch, chunks, cut: np.ndarray) -> list[int]:
@@ -305,9 +269,9 @@ def _edge_successes(batch: _TrialBatch, chunks, cut: np.ndarray) -> list[int]:
     waits bound a block's memory and give each call many rows.  Each
     screen keeps every trial that fires at some count, so none changes.
     """
-    spec, boost, rate = batch.spec, batch.cells.boost, batch.rate
+    spec, boost, rate = batch.spec, batch.scale, batch.rate
     tau = spec.threshold_multiplier
-    counts = np.asarray(batch.cells.counts, dtype=np.intp)
+    counts = np.asarray(batch.counts, dtype=np.intp)
     scales = np.asarray(batch.cut_scales)
     groups = [np.flatnonzero(scales == scale) for scale in np.unique(scales)]
     lows = [int(counts[members].min()) for members in groups]
@@ -412,9 +376,8 @@ def _edge_screen(
     stat, tau = spec.stat, spec.threshold_multiplier
     if isinstance(stat, OrderStatistic):
         zc = zc[:, None]
-        with np.errstate(over="ignore"):  # a cell lifted to inf is never below zc
-            lifted = x[:, :j] * boost
-            lifted *= tau
+        lifted = x[:, :j] * boost
+        lifted *= tau
         below = np.count_nonzero(lifted < zc, axis=1)
         below += np.count_nonzero(x[:, j:] * tau < zc, axis=1)
         return below >= stat.k
@@ -440,9 +403,8 @@ def _edge_hits(
     hits = np.empty(len(counts), dtype=np.int64)
     for p, j in enumerate(counts):
         y = x.copy()
-        with np.errstate(over="ignore"):  # a cell lifted to inf never lets zc fire
-            y[:, :j] *= boost
-            hits[p] = np.count_nonzero(zc > _stat_rows(spec.stat, y) * spec.threshold_multiplier)
+        y[:, :j] *= boost
+        hits[p] = np.count_nonzero(zc > _stat_rows(spec.stat, y) * spec.threshold_multiplier)
     return hits
 
 
@@ -486,23 +448,6 @@ def _point_estimates(batches: Sequence[_TrialBatch], workers: int) -> list[PdEst
     ]
 
 
-def _interference_scales(interference: InterferenceSpec | None, window: int) -> tuple[float, ...]:
-    """Translate an interference spec into per-column CRP scales."""
-    if interference is None or interference.count == 0:
-        return ()
-    if interference.count > window:
-        raise ValueError(
-            f"{interference.count} interferers exceed the {window}-cell CRP"
-        )
-    factor = 1.0 + db_to_linear(interference.inr_db)
-    if isinstance(interference.placement, FixedCells):
-        cells = interference.placement.indices
-        if any(i >= window for i in cells):
-            raise ValueError(f"fixed interference cells {cells} outside 0..{window - 1}")
-        return tuple(factor if i in cells else 1.0 for i in range(window))
-    return (factor,) * interference.count + (1.0,) * (window - interference.count)
-
-
 def _detection_batch(
     spec: DetectorSpec,
     clutter: ClutterModel,
@@ -511,32 +456,24 @@ def _detection_batch(
     trials: int,
     stream: RandomStream,
 ) -> _TrialBatch:
-    """``trials`` detection trials of ``spec`` at each target; H0 where it is None."""
+    """``trials`` detection trials of ``spec`` at each target; H0 where it is None.
+
+    Every point scales the first ``interference.count`` CRP cells by ``1 + I``.
+    """
+    count = 0 if interference is None else interference.count
+    if count > spec.window_length:
+        raise ValueError(f"{count} interferers exceed the {spec.window_length}-cell CRP")
+    scale = 1.0 + db_to_linear(interference.inr_db) if count else 1.0
     cut_scales = tuple(1.0 if target is None else 1.0 + target.scr_linear for target in targets)
     return _TrialBatch(
-        stream, trials, spec, clutter.rate, cut_scales,
-        _interference_scales(interference, spec.window_length),
+        stream, trials, spec, clutter.rate, cut_scales, (count,) * len(cut_scales), scale
     )
-
-
-def _scr_points(
-    spec: DetectorSpec,
-    clutter: ClutterModel,
-    interference: InterferenceSpec | None,
-    scr_grid_db: tuple[float, ...],
-    runs: int,
-    base: RandomStream,
-    key: tuple[int, ...],
-) -> _TrialBatch:
-    """One detector's SCR grid as one batch, drawing from ``base.substream(*key)``."""
-    targets = [TargetContext.from_db(scr_db) for scr_db in scr_grid_db]
-    return _detection_batch(spec, clutter, targets, interference, runs, base.substream(*key))
 
 
 def _regulation_points(
     spec: DetectorSpec, clutter: ClutterModel, reg: RegulationSpec, stream: RandomStream
-) -> tuple[tuple[int, ...], _TrialBatch]:
-    """The affected counts ``j`` of a clutter-edge sweep and one edge batch with a point per count.
+) -> _TrialBatch:
+    """A clutter-edge sweep as one batch, with a point per affected count ``j``.
 
     The batch draws from ``stream.substream(*spec.stream_key())``; past the
     window midpoint (``j > N/2``) the CUT is boosted as well.
@@ -547,9 +484,9 @@ def _regulation_points(
         raise ValueError(f"affected cell counts must be <= {n}")
     boost = db_to_linear(reg.boost_db)
     cut_scales = tuple(boost if j > n // 2 else 1.0 for j in counts)
-    return counts, _TrialBatch(
+    return _TrialBatch(
         stream.substream(*spec.stream_key()), reg.runs, spec, clutter.rate, cut_scales,
-        _Edge(boost, counts),
+        tuple(counts), boost,
     )
 
 
@@ -600,8 +537,8 @@ def pfa_regulation_curve(
     ``reg.design_pfa`` under homogeneous clutter.
     """
     stream = seed if isinstance(seed, RandomStream) else RandomStream(int(seed))
-    counts, batch = _regulation_points(spec, clutter, reg, stream)
-    return tuple(zip(counts, _point_estimates([batch], workers)))
+    batch = _regulation_points(spec, clutter, reg, stream)
+    return tuple(zip(batch.counts, _point_estimates([batch], workers)))
 
 
 def scr_sweep(experiment: ExperimentSpec, *, workers: int = 1) -> tuple[DetectorCurve, ...]:
@@ -616,10 +553,11 @@ def scr_sweep(experiment: ExperimentSpec, *, workers: int = 1) -> tuple[Detector
     """
     base = RandomStream(experiment.seed)
     grid = tuple(experiment.scr_grid_db)
+    targets = [TargetContext.from_db(scr_db) for scr_db in grid]
     batches = [
-        _scr_points(
-            det, experiment.clutter, experiment.interference, grid, experiment.runs, base,
-            (d_index, *det.stream_key()),
+        _detection_batch(
+            det, experiment.clutter, targets, experiment.interference, experiment.runs,
+            base.substream(d_index, *det.stream_key()),
         )
         for d_index, det in enumerate(experiment.detectors)
     ]
@@ -630,13 +568,7 @@ def scr_sweep(experiment: ExperimentSpec, *, workers: int = 1) -> tuple[Detector
     )
 
 
-def resolve_threshold(
-    stat: StatKind,
-    window: int,
-    design_pfa: float,
-    *,
-    settings: SolverSettings = SolverSettings(),
-) -> float:
+def resolve_threshold(stat: StatKind, window: int, design_pfa: float) -> float:
     """Threshold multiplier achieving ``design_pfa`` for any statistic kind.
 
     Every statistic has an exact Pfa: a closed form for the sum, Rohling's
@@ -646,7 +578,7 @@ def resolve_threshold(
     if isinstance(stat, Sum):
         return ca_threshold(design_pfa, window)
     if isinstance(stat, OrderStatistic):
-        return os_threshold(design_pfa, window, stat.k, settings)
+        return os_threshold(design_pfa, window, stat.k)
     if isinstance(stat, GeometricMean):
-        return gm_threshold(design_pfa, window, settings)
+        return gm_threshold(design_pfa, window)
     raise TypeError(f"unknown statistic kind: {stat!r}")

@@ -25,7 +25,6 @@ from scipy import integrate, special
 
 from cfarkit import analytic
 from cfarkit.analytic import (
-    SolverSettings,
     ThresholdSolverError,
     _gm_log_pfa,
     _gm_quadrature,
@@ -293,18 +292,12 @@ class TestOsThreshold:
             error = abs(decimal.Decimal(tau) / root - 1)
         assert error <= 1e-12, float(error)
 
-    def test_iteration_budget_failure_carries_bracket(self):
+    def test_iteration_budget_failure_carries_bracket(self, monkeypatch):
         # one evaluation, at the lower edge: 17 and 32 times the CA multiplier of 16 cells
-        settings = SolverSettings(relative_tolerance=1e-12, max_iterations=1)
+        monkeypatch.setattr(analytic, "_MAX_EVALUATIONS", 1)
         with pytest.raises(ThresholdSolverError) as info:
-            os_threshold(1e-6, 32, 16, settings)
+            os_threshold(1e-6, 32, 16)
         assert info.value.bracket == (17 * ca_threshold(1e-6, 16), 32 * ca_threshold(1e-6, 16))
-
-    def test_settings_validation(self):
-        with pytest.raises(ValueError):
-            SolverSettings(relative_tolerance=0.0)
-        with pytest.raises(ValueError):
-            SolverSettings(max_iterations=0)
 
 
 class TestGeometricMean:
@@ -401,9 +394,10 @@ class TestGeometricMean:
             if n > 1:
                 assert n * ca_threshold(p, n) < tau < n * (1 - p) / p
 
-    def test_iteration_budget_failure_carries_bracket(self):
+    def test_iteration_budget_failure_carries_bracket(self, monkeypatch):
+        monkeypatch.setattr(analytic, "_MAX_EVALUATIONS", 1)
         with pytest.raises(ThresholdSolverError) as info:
-            gm_threshold(1e-5, 32, SolverSettings(max_iterations=1))
+            gm_threshold(1e-5, 32)
         lo, hi = info.value.bracket
         assert 0.0 <= lo < hi
 

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 import weakref
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from cfarkit.analytic import (
     os_pd,
     os_threshold,
 )
-from cfarkit import cli
+from cfarkit import analytic, cli
 from cfarkit.cli import main
 from cfarkit.config import RunConfig
 from cfarkit.detector import OrderStatistic
@@ -107,6 +108,13 @@ class TestThresholdCommand:
                                  "--pfa", "0", capsys=capsys)
         assert code == 1 and out == ""
         assert "design Pfa must lie in (0, 1]" in err and "Traceback" not in err
+
+    def test_solver_failure_exits_2_with_one_line(self, monkeypatch, capsys):
+        monkeypatch.setattr(analytic, "_MAX_EVALUATIONS", 1)
+        code, out, err = run_cli("threshold", "--stat", "os", "--window", "32", "--k", "16",
+                                 "--pfa", "1e-6", capsys=capsys)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("cfarkit: solver failure: ")
 
     def test_gm_threshold_is_deterministic(self, capsys):
         code, out, _ = run_cli("threshold", "--stat", "gm", "--window", "32",
@@ -315,6 +323,23 @@ class TestDecibelOverflow:
         assert err.count("\n") == 1 and "5000" in err and "dB" in err
 
 
+class TestExtremeScales:
+    """Scales near the largest double lift cells and CUTs to inf without a warning."""
+
+    @pytest.mark.parametrize("command, lines, rows", [
+        ("regulation", "boost_db = 3080\naffected = 0:32:4\n", 3 * 9),
+        ("pd-curve", "interference_db = 3080\ninterference_count = 2\nscr_db = 0, 3080\n",
+         3 * 2),
+    ], ids=["boost_db", "interference_db"])
+    def test_no_overflow_warning(self, command, lines, rows, tmp_path, capsys):
+        path = tmp_path / "extreme.cfg"
+        path.write_text(f"detectors = ca, os:31, gm\nwindow = 32\nruns = 5000\n{lines}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(command, "--config", str(path), capsys=capsys)
+        assert code == 0 and err == "" and len(parse_csv(out)[1]) == rows
+
+
 class TestOutOfMemory:
     """A run too large to hold in memory exits 1 with one line, not a traceback."""
 
@@ -473,6 +498,19 @@ class TestConfigParsing:
             "detectors = ca\nscr_db = 0\ninterference_db = none, 1, 10\n", "pd-curve"
         )
         assert cfg.interference_db == (None, 1.0, 10.0)
+
+    def test_random_placement_accepted(self):
+        cfg = RunConfig.from_text(
+            "detectors = ca\nscr_db = 0\ninterference_placement = random\n", "pd-curve"
+        )
+        assert cfg == RunConfig.from_text("detectors = ca\nscr_db = 0\n", "pd-curve")
+
+    def test_listed_placement_fails_with_one_line(self, tmp_path, capsys):
+        path = tmp_path / "cells.cfg"
+        path.write_text("detectors = ca\nscr_db = 0\ninterference_placement = 1, 5\n")
+        code, out, err = run_cli("pd-curve", "--config", str(path), capsys=capsys)
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "interference_placement" in err and "immaterial" in err
 
     def test_malformed_line_reports_number(self):
         with pytest.raises(ValueError, match="line 2"):

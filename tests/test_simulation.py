@@ -18,10 +18,8 @@ from cfarkit.simulation import (
     BLOCK_TRIALS,
     DetectorCurve,
     ExperimentSpec,
-    FixedCells,
     InterferenceSpec,
     PdEstimate,
-    RandomUniform,
     RegulationSpec,
     estimate_pd,
     pfa_regulation_curve,
@@ -85,8 +83,8 @@ class TestDrawOrder:
     @pytest.mark.parametrize("spec", STATS_16, ids=STAT_IDS)
     def test_estimate_pd_matches_reference(self, spec):
         target = TargetContext.from_db(3.0)
-        inter = InterferenceSpec(2, 10.0, FixedCells((1, 5)))
-        scales = tuple(11.0 if i in (1, 5) else 1.0 for i in range(16))
+        inter = InterferenceSpec(2, 10.0)  # on CRP cells 0 and 1
+        scales = (11.0,) * 2 + (1.0,) * 14
         clutter = ClutterModel(2.0)
         stream = RandomStream(17, 3)
         for tgt, cut_scale in ((None, 1.0), (target, 1.0 + target.scr_linear)):
@@ -175,39 +173,6 @@ class TestEstimatePd:
         three = estimate_pd(spec, CLUTTER, target, None, 300_000, 7, workers=3)
         assert one == two == three
 
-    def test_interference_placement_immaterial_for_symmetric_stats(self):
-        # every implemented statistic is permutation invariant, so fixed and
-        # random placements must agree statistically
-        target = TargetContext.from_db(10.0)
-        for spec in (
-            DetectorSpec(Sum(), 32, ca_threshold(1e-2, 32)),
-            DetectorSpec(OrderStatistic(31), 32, os_threshold(1e-2, 32, 31)),
-        ):
-            estimates = [
-                estimate_pd(spec, CLUTTER, target, InterferenceSpec(1, 20.0, placement),
-                            100_000, seed)
-                for seed, placement in (
-                    (21, FixedCells((0,))),
-                    (22, FixedCells((17,))),
-                    (23, RandomUniform()),
-                )
-            ]
-            for a, b in ((0, 1), (0, 2), (1, 2)):
-                joint = math.hypot(estimates[a].standard_error, estimates[b].standard_error)
-                assert abs(estimates[a].p_hat - estimates[b].p_hat) <= 4.0 * joint
-
-    @pytest.mark.parametrize("count", [1, 2])
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_random_placement_realised_on_leading_cells(self, count, workers):
-        spec = DetectorSpec(OrderStatistic(31), 32, os_threshold(1e-2, 32, 31))
-        target = TargetContext.from_db(10.0)
-        random, fixed = (
-            estimate_pd(spec, CLUTTER, target, InterferenceSpec(count, 20.0, placement),
-                        140_000, 24, workers=workers)
-            for placement in (RandomUniform(), FixedCells(tuple(range(count))))
-        )
-        assert random == fixed
-
     def test_lambda_invariance_of_cfar_detectors(self):
         for spec in (
             DetectorSpec(Sum(), 16, ca_threshold(1e-2, 16)),
@@ -225,16 +190,10 @@ class TestEstimatePd:
         spec = DetectorSpec(Sum(), 8, 1.0)
         with pytest.raises(ValueError):
             estimate_pd(spec, CLUTTER, None, InterferenceSpec(9, 10.0), 100, 1)
-        with pytest.raises(ValueError):
-            estimate_pd(spec, CLUTTER, None, InterferenceSpec(1, 10.0, FixedCells((8,))), 100, 1)
 
     def test_interference_spec_validation(self):
         with pytest.raises(ValueError):
             InterferenceSpec(-1, 10.0)
-        with pytest.raises(ValueError):
-            InterferenceSpec(2, 10.0, FixedCells((3,)))
-        with pytest.raises(ValueError):
-            FixedCells((1, 1))
 
 
 class TestCalibration:
@@ -399,6 +358,15 @@ class TestCommonRandomNumbers:
             assert est.successes == one, j
 
     @pytest.mark.parametrize("spec", STATS_16, ids=STAT_IDS)
+    def test_one_count_rows_equal_the_edge_sweep_rows(self, spec):
+        # one count takes the detection pass, several the edge screens: same counts
+        reg = RegulationSpec(1e-2, self.RUNS, 10.0, affected_counts=EDGE)
+        sweep = pfa_regulation_curve(spec, CLUTTER, reg, 85)
+        for row in sweep:
+            one = replace(reg, affected_counts=row[:1])
+            assert pfa_regulation_curve(spec, CLUTTER, one, 85) == (row,)
+
+    @pytest.mark.parametrize("spec", STATS_16, ids=STAT_IDS)
     def test_edge_screen_passes_few_trials_on(self, spec, monkeypatch):
         # design Pfa 1e-3, 2 dB edge: about 1% of trials can fire at any count
         rows, hits = [], simulation._edge_hits
@@ -409,7 +377,7 @@ class TestCommonRandomNumbers:
 
         monkeypatch.setattr(simulation, "_edge_hits", counted)
         spec = replace(spec, threshold_multiplier=resolve_threshold(spec.stat, 16, 1e-3))
-        _, batch = simulation._regulation_points(
+        batch = simulation._regulation_points(
             spec, CLUTTER, RegulationSpec(1e-3, BLOCK_TRIALS, 2.0), RandomStream(89)
         )
         assert len(simulation._batch_successes(batch)) == 17
@@ -434,7 +402,7 @@ class TestCommonRandomNumbers:
         monkeypatch.setattr(simulation, "_edge_screen", counted_screen)
         monkeypatch.setattr(simulation, "_stat_rows", counted_kernel)
         spec = replace(spec, threshold_multiplier=resolve_threshold(spec.stat, 16, 1e-3))
-        _, batch = simulation._regulation_points(
+        batch = simulation._regulation_points(
             spec, CLUTTER, RegulationSpec(1e-3, BLOCK_TRIALS, 2.0), RandomStream(89)
         )
         assert len(simulation._batch_successes(batch)) == 17
@@ -475,13 +443,13 @@ class TestCommonRandomNumbers:
     @pytest.mark.parametrize("spec", STATS_16, ids=STAT_IDS)
     def test_block_holds_row_chunks_not_the_crp_matrix(self, spec, kind):
         if kind == "edge":
-            _, batch = simulation._regulation_points(
+            batch = simulation._regulation_points(
                 spec, CLUTTER, RegulationSpec(1e-2, BLOCK_TRIALS, 10.0), RandomStream(87)
             )
         else:
             batch = simulation._detection_batch(
                 spec, CLUTTER, [None, TargetContext.from_db(10.0)],
-                InterferenceSpec(2, 10.0, FixedCells((1, 5))), BLOCK_TRIALS, RandomStream(87),
+                InterferenceSpec(2, 10.0), BLOCK_TRIALS, RandomStream(87),
             )
         matrix = BLOCK_TRIALS * spec.window_length * 8
         simulation._batch_successes(batch)  # the first call's lazy imports are not the block's
@@ -585,7 +553,7 @@ class TestUniformScreen:
 
         monkeypatch.setattr(simulation, "_cells", counted)
         spec = replace(spec, threshold_multiplier=resolve_threshold(spec.stat, 16, 1e-3))
-        _, batch = simulation._regulation_points(
+        batch = simulation._regulation_points(
             spec, CLUTTER, RegulationSpec(1e-3, BLOCK_TRIALS, 2.0), RandomStream(89)
         )
         assert len(simulation._batch_successes(batch)) == 17
@@ -611,7 +579,7 @@ class TestChunkSize:
     @pytest.mark.parametrize("spec", STATS_16, ids=STAT_IDS)
     def test_detection_counts(self, spec, monkeypatch):
         exp = ExperimentSpec((spec,), CLUTTER, (0.0, 10.0), self.RUNS, 91,
-                             InterferenceSpec(2, 10.0, FixedCells((1, 5))))
+                             InterferenceSpec(2, 10.0))
         default, *others = self.at_each_size(monkeypatch, lambda: scr_sweep(exp))
         assert others == [default] * 2
 
