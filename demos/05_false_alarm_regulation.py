@@ -25,7 +25,7 @@ DESIGN_PFA = 1e-3
 RUNS = 400_000
 
 clutter = ClutterModel(1.0)
-reg = RegulationSpec(design_pfa=DESIGN_PFA, runs=RUNS, boost_db=10.0)
+reg = RegulationSpec(runs=RUNS, boost_db=10.0)
 
 curves = {}
 for name, spec in (

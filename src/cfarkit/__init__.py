@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 # public name -> the submodule that defines it
 _SUBMODULE_OF = {
     **dict.fromkeys(
-        ("ClutterModel", "TargetContext", "RandomStream", "exp_cdf", "sample_exponential",
+        ("ClutterModel", "TargetContext", "RandomStream", "sample_exponential",
          "db_to_linear", "linear_to_db"),
         "stats"),
     **dict.fromkeys(

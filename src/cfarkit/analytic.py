@@ -218,11 +218,6 @@ def _log_gamma1p(x: np.ndarray) -> np.ndarray:
 _GM_STEP, _GM_CHUNK, _GM_NODES = 0.02, 1280, 102400
 
 
-def _gm_log_pfa(tau: float, n: int) -> float:
-    """log of the geometric-mean false-alarm probability at multiplier ``tau``."""
-    return _gm_quadrature(tau, n)[0]
-
-
 def _gm_quadrature(tau: float, n: int) -> tuple[float, float]:
     """log Pfa of the geometric mean at ``tau`` and its slope ``d log Pfa / d log tau``.
 
@@ -278,7 +273,7 @@ def gm_pd(tau: float, scr: float, n: int) -> float:
     _check_tau(tau)
     _check_scr(scr)
     _check_window(n)
-    return math.exp(_gm_log_pfa(tau / (1.0 + scr), n))
+    return math.exp(_gm_quadrature(tau / (1.0 + scr), n)[0])
 
 
 def gm_pfa(tau: float, n: int) -> float:

@@ -186,12 +186,7 @@ def _cmd_pd_curve(args) -> int:
 def _regulation_rows(cfg: RunConfig) -> list[list]:
     clutter = ClutterModel(cfg.clutter_rate)
     base = RandomStream(cfg.seed)
-    reg = RegulationSpec(
-        design_pfa=cfg.design_pfa,
-        runs=cfg.runs,
-        boost_db=cfg.boost_db,
-        affected_counts=cfg.affected,
-    )
+    reg = RegulationSpec(runs=cfg.runs, boost_db=cfg.boost_db, affected_counts=cfg.affected)
     rows: list[list] = []
     batches = []
     for d_index, req in enumerate(cfg.detectors):

@@ -65,11 +65,14 @@ def parse_key_values(text: str) -> dict[str, str]:
 
 
 def _parse_count(value: str, key: str) -> int:
-    try:
-        n = float(value)
-    except ValueError as exc:
-        raise ValueError(f"{key}: expected an integer, got {value!r}") from exc
-    if not (n.is_integer() and n >= 0):
+    try:  # int() keeps an integer literal exact past 2**53; float() reads the 1e6 style
+        n = int(value)
+    except ValueError:
+        try:
+            n = float(value)
+        except ValueError as exc:
+            raise ValueError(f"{key}: expected an integer, got {value!r}") from exc
+    if not (n >= 0 and (isinstance(n, int) or n.is_integer())):
         raise ValueError(f"{key}: expected a nonnegative integer, got {value!r}")
     return int(n)
 
@@ -219,7 +222,7 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str | Path, mode: str) -> "RunConfig":
-        return cls.from_text(Path(path).read_text(encoding="utf-8"), mode)
+        return cls.from_text(Path(path).read_text(encoding="utf-8-sig"), mode)
 
     @classmethod
     def from_text(cls, text: str, mode: str) -> "RunConfig":

@@ -137,18 +137,15 @@ class PdEstimate:
         return (max(0.0, p - z * se), min(1.0, p + z * se))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class RegulationSpec:
     """Clutter-edge sweep configuration for false-alarm regulation."""
 
-    design_pfa: float
     runs: int
     boost_db: float = 10.0
     affected_counts: tuple[int, ...] | None = None  # default: 0..N inclusive
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.design_pfa <= 1.0):
-            raise ValueError(f"design Pfa must lie in (0, 1], got {self.design_pfa!r}")
         if self.runs < 1:
             raise ValueError(f"runs must be >= 1, got {self.runs}")
         if not (math.isfinite(self.boost_db) and self.boost_db >= 0):
@@ -533,8 +530,8 @@ def pfa_regulation_curve(
     the edge passes the window midpoint (``j > N/2``) the CUT is boosted
     as well.  Every count is evaluated on the same draws, so the rows are
     positively correlated; each keeps its binomial standard error.
-    ``spec.threshold_multiplier`` is expected to be resolved from
-    ``reg.design_pfa`` under homogeneous clutter.
+    ``spec.threshold_multiplier`` is used as given; resolve it for the
+    design Pfa with :func:`resolve_threshold` under homogeneous clutter.
     """
     stream = seed if isinstance(seed, RandomStream) else RandomStream(int(seed))
     batch = _regulation_points(spec, clutter, reg, stream)

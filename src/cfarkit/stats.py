@@ -29,7 +29,6 @@ __all__ = [
     "ClutterModel",
     "TargetContext",
     "RandomStream",
-    "exp_cdf",
     "unit_exponential",
     "sample_exponential",
     "db_to_linear",
@@ -121,21 +120,6 @@ class RandomStream:
         """Fresh SFC64 generator, seeded from this stream's ``SeedSequence``."""
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
         return np.random.Generator(np.random.SFC64(ss))
-
-
-def exp_cdf(t: float, rate: float) -> float:
-    """Exponential distribution function ``1 - exp(-rate*t)``.
-
-    Raises
-    ------
-    ValueError
-        If ``t < 0`` or ``rate <= 0``.
-    """
-    if not (math.isfinite(t) and t >= 0):
-        raise ValueError(f"t must be finite and >= 0, got {t!r}")
-    if not (math.isfinite(rate) and rate > 0):
-        raise ValueError(f"rate must be finite and > 0, got {rate!r}")
-    return -math.expm1(-rate * t)
 
 
 def unit_exponential(gen: np.random.Generator, shape: int | tuple[int, ...]) -> np.ndarray:

@@ -29,9 +29,9 @@ from .detector import (
     decide,
 )
 from .simulation import estimate_pd
-from .stats import ClutterModel, RandomStream, db_to_linear, exp_cdf, linear_to_db
+from .stats import ClutterModel, RandomStream, db_to_linear, linear_to_db
 
-__all__ = ["PropertyResult", "available_properties", "run_properties"]
+__all__ = ["PropertyResult", "run_properties"]
 
 _SCALES = (1e-6, 1e-3, 1.0, 1e3, 1e6)
 _ALL_STATS = (Sum(), OrderStatistic(7), OrderStatistic(31), GeometricMean(), OrderStatistic(1))
@@ -140,16 +140,6 @@ def _check_db_round_trip() -> tuple[bool, str]:
     return worst <= 1e-12, f"worst relative error {worst:.2e}"
 
 
-def _check_exp_cdf_monotone() -> tuple[bool, str]:
-    for rate in (0.1, 1.0, 10.0):
-        values = [exp_cdf(t, rate) for t in np.linspace(0.0, 20.0, 500)]
-        if values[0] != 0.0 or any(b < a for a, b in zip(values, values[1:])):
-            return False, f"not monotone from 0 at rate {rate}"
-        if any(not 0.0 <= v <= 1.0 for v in values):
-            return False, f"left [0,1] at rate {rate}"
-    return True, "nondecreasing from 0, bounded by 1"
-
-
 def _check_ca_dominance() -> tuple[bool, str]:
     n, pfa = 32, 1e-4
     tau_ca = ca_threshold(pfa, n)
@@ -226,16 +216,11 @@ _REGISTRY: tuple[tuple[str, Callable[[], tuple[bool, str]]], ...] = (
     ("exchangeability", _check_exchangeability),
     ("minimum-consistency", _check_minimum_consistency),
     ("db-round-trip", _check_db_round_trip),
-    ("exp-cdf-monotone", _check_exp_cdf_monotone),
     ("ca-dominance", _check_ca_dominance),
     ("os-index-response", _check_os_index_response),
     ("ideal-bound", _check_ideal_bound),
     ("lambda-invariance", _check_lambda_invariance),
 )
-
-
-def available_properties() -> tuple[str, ...]:
-    return tuple(name for name, _ in _REGISTRY)
 
 
 def run_properties(name_filter: str | None = None) -> list[PropertyResult]:

@@ -170,7 +170,7 @@ def test_criterion_06_os_more_robust_to_interference():
 
 def test_criterion_07_false_alarm_regulation_shape():
     n, pfa, runs, boost = 32, 1e-4, 10**7, 10.0
-    reg = RegulationSpec(design_pfa=pfa, runs=runs, boost_db=boost)
+    reg = RegulationSpec(runs=runs, boost_db=boost)
     se_design = binomial_se(pfa, runs)
     summaries = []
     ok_all = True

@@ -250,6 +250,17 @@ class TestPdCurveCommand:
         analytic_keys = [k for k in rows_a if rows_a[k][-1] == "analytic"]
         assert all(rows_a[k] == rows_b[k] for k in analytic_keys)
 
+    @pytest.mark.parametrize("seed", [2**53 + 1, 2**64 - 1])
+    def test_config_seed_equals_seed_flag(self, seed, montecarlo_config, tmp_path, capsys):
+        # a seed past 2**53 is read exactly from the config, as argparse reads --seed
+        path = tmp_path / "seeded.cfg"
+        path.write_text(re.sub(r"(?m)^seed\s*=.*$", f"seed = {seed}",
+                               Path(montecarlo_config).read_text()))
+        code_a, out_a, _ = run_cli("pd-curve", "--config", str(path), capsys=capsys)
+        code_b, out_b, _ = run_cli("pd-curve", "--config", montecarlo_config,
+                                   "--seed", str(seed), capsys=capsys)
+        assert code_a == code_b == 0 and out_a == out_b
+
     def test_out_flag_writes_file(self, analytic_config, tmp_path, capsys):
         out_path = tmp_path / "result.csv"
         code, out, _ = run_cli("pd-curve", "--config", analytic_config,
@@ -305,6 +316,26 @@ class TestRegulationCommand:
         path.write_text(f"detectors = ca\nwindow = 16\nruns = 100\naffected = {affected}\n")
         code, out, err = run_cli("regulation", "--config", str(path), capsys=capsys)
         assert code == 1 and out == "" and "affected" in err
+
+
+class TestJsonOutput:
+    @pytest.mark.parametrize("command,config", [("pd-curve", "montecarlo_config"),
+                                                ("regulation", "regulation_config")])
+    def test_json_rows_equal_csv_rows(self, command, config, request, capsys):
+        path = request.getfixturevalue(config)
+        _, text, _ = run_cli(command, "--config", path, capsys=capsys)
+        code, out, _ = run_cli(command, "--config", path, "--format", "json", capsys=capsys)
+        assert code == 0
+        header, rows = parse_csv(text)
+        payload = json.loads(out)
+        assert payload["columns"] == header and len(payload["rows"]) == len(rows)
+        for obj, row in zip(payload["rows"], rows):  # same order
+            assert list(obj) == header
+            for value, cell in zip(obj.values(), row):
+                if isinstance(value, float):
+                    assert value == float(cell)  # exactly: both are round-trip text
+                else:
+                    assert str(value) == cell
 
 
 class TestDecibelOverflow:
@@ -481,6 +512,22 @@ class TestConfigParsing:
             "detectors = ca\nscr_db = 0\nruns = 1e6\n", "pd-curve"
         )
         assert cfg.runs == 1_000_000
+
+    @pytest.mark.parametrize("seed", [2**53 + 1, 2**64 - 1])
+    def test_integer_seed_parses_exactly(self, seed):
+        cfg = RunConfig.from_text(f"detectors = ca\nscr_db = 0\nseed = {seed}\n", "pd-curve")
+        assert cfg.seed == seed
+
+    @pytest.mark.parametrize("runs", ["1.5", "-1"])
+    def test_fractional_and_negative_counts_fail(self, runs):
+        with pytest.raises(ValueError, match="runs: expected a nonnegative integer"):
+            RunConfig.from_text(f"detectors = ca\nscr_db = 0\nruns = {runs}\n", "pd-curve")
+
+    def test_byte_order_mark_before_the_first_key(self, regulation_config, tmp_path):
+        path = tmp_path / "bom.cfg"
+        path.write_bytes(b"\xef\xbb\xbf" + Path(regulation_config).read_bytes())
+        assert RunConfig.from_file(path, "regulation") == RunConfig.from_file(
+            regulation_config, "regulation")
 
     def test_detector_tokens(self):
         cfg = RunConfig.from_text(

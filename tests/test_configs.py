@@ -79,15 +79,23 @@ def test_false_alarm_regulation_config(tmp_path):
     assert [int(r["affected_cells"]) for r in rows if r["detector"] == "ca"] == list(range(33))
 
 
-@pytest.mark.parametrize(
-    "name,mode",
-    [
-        ("detection_curves.cfg", "pd-curve"),
-        ("ca_interference.cfg", "pd-curve"),
-        ("os_interference.cfg", "pd-curve"),
-        ("false_alarm_regulation.cfg", "regulation"),
-    ],
-)
+SHIPPED = [
+    ("detection_curves.cfg", "pd-curve"),
+    ("ca_interference.cfg", "pd-curve"),
+    ("os_interference.cfg", "pd-curve"),
+    ("false_alarm_regulation.cfg", "regulation"),
+]
+
+
+@pytest.mark.parametrize("name,mode", SHIPPED)
 def test_shipped_configs_parse_at_full_scale(name, mode):
     cfg = RunConfig.from_file(CONFIG_DIR / name, mode)
     assert cfg.window == 32 and cfg.design_pfa == 1e-4
+
+
+@pytest.mark.parametrize("name,mode", SHIPPED)
+def test_byte_order_mark_is_ignored(name, mode, tmp_path):
+    # an editor may save UTF-8 with a leading BOM; it must not join the first line
+    copy = tmp_path / name
+    copy.write_bytes(b"\xef\xbb\xbf" + (CONFIG_DIR / name).read_bytes())
+    assert RunConfig.from_file(copy, mode) == RunConfig.from_file(CONFIG_DIR / name, mode)

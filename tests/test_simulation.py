@@ -112,7 +112,7 @@ class TestStreamFingerprint:
         assert hits == [3182, 7339, 1787, 6792]
 
     def test_pfa_regulation_curve(self):
-        reg = RegulationSpec(1e-2, self.RUNS, 10.0, affected_counts=(0, 8, 9, 16))
+        reg = RegulationSpec(runs=self.RUNS, boost_db=10.0, affected_counts=(0, 8, 9, 16))
         hits = [[est.successes for _, est in pfa_regulation_curve(spec, CLUTTER, reg, 2026)]
                 for spec in STATS_16]
         assert hits == [[701, 0, 4156, 701], [693, 0, 4044, 693], [691, 375, 3296, 691],
@@ -221,38 +221,42 @@ class TestRegulation:
         # is scale invariant), so each endpoint gets its own draw
         spec = DetectorSpec(Sum(), 32, ca_threshold(1e-2, 32))
         for j, seed in ((0, 41), (32, 44)):  # full saturation is homogeneous again
-            reg = RegulationSpec(design_pfa=1e-2, runs=200_000, boost_db=10.0,
-                                 affected_counts=(j,))
+            reg = RegulationSpec(runs=200_000, boost_db=10.0, affected_counts=(j,))
             ((count, est),) = pfa_regulation_curve(spec, CLUTTER, reg, seed)
             assert count == j and within(est, 1e-2), (j, est.p_hat)
 
     def test_zero_boost_is_flat(self):
         tau = ca_threshold(1e-2, 16)
         spec = DetectorSpec(Sum(), 16, tau)
-        reg = RegulationSpec(design_pfa=1e-2, runs=100_000, boost_db=0.0)
+        reg = RegulationSpec(runs=100_000, boost_db=0.0)
         for _, est in pfa_regulation_curve(spec, CLUTTER, reg, 42):
             assert within(est, 1e-2)
 
     def test_affected_counts_validated(self):
         spec = DetectorSpec(Sum(), 16, 1.0)
-        reg = RegulationSpec(design_pfa=1e-2, runs=1000, affected_counts=(17,))
+        reg = RegulationSpec(runs=1000, affected_counts=(17,))
         with pytest.raises(ValueError):
             pfa_regulation_curve(spec, CLUTTER, reg, 1)
 
     @pytest.mark.parametrize("boost_db", [-3.0, math.inf])
     def test_boost_must_be_finite_increase(self, boost_db):
         with pytest.raises(ValueError):
-            RegulationSpec(design_pfa=1e-2, runs=1000, boost_db=boost_db)
+            RegulationSpec(runs=1000, boost_db=boost_db)
+
+    def test_fields_are_keyword_only(self):
+        # the spec once led with a design Pfa: an old positional call must not bind it to runs
+        with pytest.raises(TypeError):
+            RegulationSpec(1e-2, 1000)
 
     def test_empty_affected_counts_draw_nothing(self, monkeypatch):
         monkeypatch.setattr(simulation, "_batch_successes", None)  # any block would fail
-        reg = RegulationSpec(design_pfa=1e-2, runs=10**7, affected_counts=())
+        reg = RegulationSpec(runs=10**7, affected_counts=())
         assert pfa_regulation_curve(DetectorSpec(Sum(), 16, 1.0), CLUTTER, reg, 1) == ()
 
     def test_worker_count_never_changes_the_curve(self):
         tau = os_threshold(1e-2, 16, 15)
         spec = DetectorSpec(OrderStatistic(15), 16, tau)
-        reg = RegulationSpec(design_pfa=1e-2, runs=150_000, affected_counts=(0, 5, 9, 16))
+        reg = RegulationSpec(runs=150_000, affected_counts=(0, 5, 9, 16))
         a = pfa_regulation_curve(spec, CLUTTER, reg, 43, workers=1)
         b = pfa_regulation_curve(spec, CLUTTER, reg, 43, workers=2)
         assert a == b
@@ -346,7 +350,7 @@ class TestCommonRandomNumbers:
 
     @pytest.mark.parametrize("spec, counts, boost_db, rate", EDGE_CASES, ids=EDGE_IDS)
     def test_regulation_rows_equal_one_point_evaluations(self, spec, counts, boost_db, rate):
-        reg = RegulationSpec(1e-2, self.RUNS, boost_db, affected_counts=counts)
+        reg = RegulationSpec(runs=self.RUNS, boost_db=boost_db, affected_counts=counts)
         boost = db_to_linear(boost_db)
         stream = RandomStream(82).substream(*spec.stream_key())
         curve = pfa_regulation_curve(spec, ClutterModel(rate), reg, 82)
@@ -360,7 +364,7 @@ class TestCommonRandomNumbers:
     @pytest.mark.parametrize("spec", STATS_16, ids=STAT_IDS)
     def test_one_count_rows_equal_the_edge_sweep_rows(self, spec):
         # one count takes the detection pass, several the edge screens: same counts
-        reg = RegulationSpec(1e-2, self.RUNS, 10.0, affected_counts=EDGE)
+        reg = RegulationSpec(runs=self.RUNS, boost_db=10.0, affected_counts=EDGE)
         sweep = pfa_regulation_curve(spec, CLUTTER, reg, 85)
         for row in sweep:
             one = replace(reg, affected_counts=row[:1])
@@ -378,7 +382,7 @@ class TestCommonRandomNumbers:
         monkeypatch.setattr(simulation, "_edge_hits", counted)
         spec = replace(spec, threshold_multiplier=resolve_threshold(spec.stat, 16, 1e-3))
         batch = simulation._regulation_points(
-            spec, CLUTTER, RegulationSpec(1e-3, BLOCK_TRIALS, 2.0), RandomStream(89)
+            spec, CLUTTER, RegulationSpec(runs=BLOCK_TRIALS, boost_db=2.0), RandomStream(89)
         )
         assert len(simulation._batch_successes(batch)) == 17
         assert 0 < sum(rows) < 0.05 * BLOCK_TRIALS, sum(rows) / BLOCK_TRIALS
@@ -403,7 +407,7 @@ class TestCommonRandomNumbers:
         monkeypatch.setattr(simulation, "_stat_rows", counted_kernel)
         spec = replace(spec, threshold_multiplier=resolve_threshold(spec.stat, 16, 1e-3))
         batch = simulation._regulation_points(
-            spec, CLUTTER, RegulationSpec(1e-3, BLOCK_TRIALS, 2.0), RandomStream(89)
+            spec, CLUTTER, RegulationSpec(runs=BLOCK_TRIALS, boost_db=2.0), RandomStream(89)
         )
         assert len(simulation._batch_successes(batch)) == 17
         # counts 0..8 keep the CUT unboosted (screened at j = 0), 9..16 boost it (j = 9)
@@ -426,7 +430,7 @@ class TestCommonRandomNumbers:
             expect = (1.0 + u * (1.0 + inr)) ** -2 * (1.0 + u) ** -(n - 2)
             assert within(est, expect), (scr_db, est.p_hat, expect)
         boost = db_to_linear(10.0)
-        reg = RegulationSpec(1e-2, 200_000, 10.0)
+        reg = RegulationSpec(runs=200_000, boost_db=10.0)
         for j, est in pfa_regulation_curve(spec, CLUTTER, reg, 84):
             u = tau / (boost if j > n // 2 else 1.0)
             expect = (1.0 + u * boost) ** -j * (1.0 + u) ** -(n - j)
@@ -444,7 +448,7 @@ class TestCommonRandomNumbers:
     def test_block_holds_row_chunks_not_the_crp_matrix(self, spec, kind):
         if kind == "edge":
             batch = simulation._regulation_points(
-                spec, CLUTTER, RegulationSpec(1e-2, BLOCK_TRIALS, 10.0), RandomStream(87)
+                spec, CLUTTER, RegulationSpec(runs=BLOCK_TRIALS, boost_db=10.0), RandomStream(87)
             )
         else:
             batch = simulation._detection_batch(
@@ -554,7 +558,7 @@ class TestUniformScreen:
         monkeypatch.setattr(simulation, "_cells", counted)
         spec = replace(spec, threshold_multiplier=resolve_threshold(spec.stat, 16, 1e-3))
         batch = simulation._regulation_points(
-            spec, CLUTTER, RegulationSpec(1e-3, BLOCK_TRIALS, 2.0), RandomStream(89)
+            spec, CLUTTER, RegulationSpec(runs=BLOCK_TRIALS, boost_db=2.0), RandomStream(89)
         )
         assert len(simulation._batch_successes(batch)) == 17
         if isinstance(spec.stat, GeometricMean):
@@ -589,7 +593,7 @@ class TestChunkSize:
         counts, boost_db, rate = SCREEN_CASES[case]
         if case == "pfa1":
             spec = replace(spec, threshold_multiplier=0.0)
-        reg = RegulationSpec(1e-2, self.RUNS, boost_db, affected_counts=counts)
+        reg = RegulationSpec(runs=self.RUNS, boost_db=boost_db, affected_counts=counts)
         default, *others = self.at_each_size(
             monkeypatch, lambda: pfa_regulation_curve(spec, ClutterModel(rate), reg, 92)
         )
@@ -604,7 +608,7 @@ class TestRunPlan:
         os15 = DetectorSpec(OrderStatistic(15), 16, os_threshold(1e-2, 16, 15))
         exp = ExperimentSpec((ca, os15), CLUTTER, (0.0, 10.0), self.RUNS, 5,
                              InterferenceSpec(1, 10.0))
-        reg = RegulationSpec(design_pfa=1e-2, runs=self.RUNS, affected_counts=(0, 9, 16))
+        reg = RegulationSpec(runs=self.RUNS, affected_counts=(0, 9, 16))
         for call in (
             lambda workers: scr_sweep(exp, workers=workers),
             lambda workers: pfa_regulation_curve(os15, CLUTTER, reg, 6, workers=workers),
@@ -623,7 +627,7 @@ class TestRunPlan:
         call = {
             "estimate_pd": lambda: estimate_pd(spec, CLUTTER, None, None, 100, 1, workers=workers),
             "pfa_regulation_curve": lambda: pfa_regulation_curve(
-                spec, CLUTTER, RegulationSpec(1e-2, 100), 1, workers=workers),
+                spec, CLUTTER, RegulationSpec(runs=100), 1, workers=workers),
             "scr_sweep": lambda: scr_sweep(
                 ExperimentSpec((spec,), CLUTTER, (0.0,), 100, 1), workers=workers),
         }[operation]
