@@ -15,10 +15,9 @@ a time, never holding the matrix.  A batch of one point is a single
 estimate.  A batch whose points scale the same number of cells (an SCR
 grid, an estimate, one edge count) computes the clutter statistic once
 per trial; a batch whose counts differ (a clutter-edge sweep) screens
-each chunk once per CUT scale (the sum and the order statistics on its
-raw uniforms, before any cell is computed) and computes the statistic
-at every count only on the trials the screens keep.
-Every statistic that decides a counted trial comes
+each chunk once per CUT scale on its raw uniforms, before any cell is
+computed, and computes the statistic at every count only on the trials
+the screens keep.  Every statistic that decides a counted trial comes
 from :func:`cfarkit.detector._stat_rows`.  Per-block success counts are
 combined by exact integer addition, so results are identical for any
 worker count and any scheduling order.
@@ -84,9 +83,15 @@ def __getattr__(name: str):
 BLOCK_TRIALS = 1 << 16
 _SCREEN_SLACK = 2.0**-30  # relative margin of the edge screens that round
 # beyond these a draw over the rate, or tau times it, can be subnormal, where
-# rounding is not relative: edge chunks then skip the uniform screen
+# rounding is not relative: the uniform screen then keeps every row
 _SCREEN_MAX_RATE = 2.0**969
 _SCREEN_MIN_TAU = 2.0**-1000
+
+
+def _check_count(name: str, value, low: int) -> None:
+    """Refuse a ``value`` that is not an integer (a bool, a float) or is below ``low``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -103,8 +108,7 @@ class InterferenceSpec:
     inr_db: float
 
     def __post_init__(self) -> None:
-        if self.count < 0:
-            raise ValueError(f"interferer count must be >= 0, got {self.count}")
+        _check_count("interferer count", self.count, 0)
         if not math.isfinite(self.inr_db):
             raise ValueError(f"INR must be finite, got {self.inr_db!r}")
 
@@ -146,12 +150,11 @@ class RegulationSpec:
     affected_counts: tuple[int, ...] | None = None  # default: 0..N inclusive
 
     def __post_init__(self) -> None:
-        if self.runs < 1:
-            raise ValueError(f"runs must be >= 1, got {self.runs}")
+        _check_count("runs", self.runs, 1)
         if not (math.isfinite(self.boost_db) and self.boost_db >= 0):
             raise ValueError(f"boost must be finite and >= 0 dB, got {self.boost_db!r}")
-        if self.affected_counts is not None and any(j < 0 for j in self.affected_counts):
-            raise ValueError("affected cell counts must be >= 0")
+        for j in self.affected_counts or ():
+            _check_count("affected cell count", j, 0)
 
 
 @dataclass(frozen=True)
@@ -168,8 +171,7 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if len(self.scr_grid_db) == 0:
             raise ValueError("SCR grid must be nonempty")
-        if self.runs < 1:
-            raise ValueError(f"runs must be >= 1, got {self.runs}")
+        _check_count("runs", self.runs, 1)
 
 
 @dataclass(frozen=True)
@@ -235,7 +237,7 @@ def _batch_successes(batch: _TrialBatch) -> list[int]:
     gen = batch.stream.generator()
     cut = _cells(gen.random(batch.trials), batch.rate)
     chunks = _uniform_chunks(gen, batch.trials, batch.spec.window_length)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", divide="ignore"):  # a zero uniform or cell: log -inf
         if len(set(batch.counts)) > 1:
             return _edge_successes(batch, chunks, cut)
         j = batch.counts[0]
@@ -255,46 +257,37 @@ def _edge_successes(batch: _TrialBatch, chunks, cut: np.ndarray) -> list[int]:
     that share a CUT scale form a group.  ``B >= 1`` and every statistic is
     nondecreasing in every cell, so a trial that fires at any count of a
     group fires at its smallest count ``j_min``, where the group screens
-    each chunk.  The sum and the order statistics screen the raw uniforms
-    first (:func:`_uniform_screen`; it keeps 0.2-4% at design Pfa 1e-3 and
-    a 2 dB edge), and once a quarter chunk of kept rows waits they alone
-    are turned into cells, by the transform of whole chunks, so bit for
-    bit.  The geometric mean, and a rate or threshold outside the normal
-    range that screen relies on, turn every chunk into cells.
-    :func:`_edge_screen` keeps the rows that fire at ``j_min`` (under 1%),
-    and once a chunk's worth waits they go through :func:`_edge_hits`.  The
-    waits bound a block's memory and give each call many rows.  Each
-    screen keeps every trial that fires at some count, so none changes.
+    each chunk.  :func:`_uniform_screen` tests the raw uniforms (the
+    geometric mean their row log sums, taken once per chunk); it keeps
+    0.2-4% at design Pfa 1e-3 and a 2 dB edge.  Once a quarter chunk of
+    kept rows waits they alone are turned into cells, bit for bit as in
+    the whole chunk, and :func:`_edge_screen` keeps the rows that fire at
+    ``j_min`` (under 1%); once a chunk's worth waits they go through
+    :func:`_edge_hits`.  The waits bound a block's memory and give each
+    call many rows.  Each screen keeps every trial that fires at some
+    count, so none changes.
     """
     spec, boost, rate = batch.spec, batch.scale, batch.rate
-    tau = spec.threshold_multiplier
     counts = np.asarray(batch.counts, dtype=np.intp)
     scales = np.asarray(batch.cut_scales)
     groups = [np.flatnonzero(scales == scale) for scale in np.unique(scales)]
     lows = [int(counts[members].min()) for members in groups]
-    raw = (not isinstance(spec.stat, GeometricMean) and rate <= _SCREEN_MAX_RATE
-           and not 0.0 < tau < _SCREEN_MIN_TAU)
-    weights = [_screen_weights(spec, boost, j) if raw else None for j in lows]
+    weights = [_screen_weights(spec, boost, j, rate) for j in lows]
     raw_kept = [([], []) for _ in groups]  # per group: kept uniform rows and CUTs, waiting
     kept = [([], []) for _ in groups]  # per group: kept cell rows and CUTs, waiting
     hits = np.zeros(len(counts), dtype=np.int64)
     for start, u in chunks:
         last = start + len(u) == len(cut)
-        if not raw:
-            x = _cells(u, rate)
-            with np.errstate(divide="ignore"):  # a zero cell: the GM's log sum is -inf, g is 0
-                screened = np.log(x).sum(axis=1) if isinstance(spec.stat, GeometricMean) else x
+        screened = np.log(u).sum(axis=1) if isinstance(spec.stat, GeometricMean) else u
         for members, j, w, (us, uzcs), (xs, zcs) in zip(groups, lows, weights, raw_kept, kept):
             zc = cut[start : start + len(u)] * scales[members[0]]
-            if raw:
-                keep = _uniform_screen(spec.stat, u, zc * rate, w, j)
-                us.append(u[keep])
-                uzcs.append(zc[keep])
-                if not (last or sum(map(len, uzcs)) >= len(u) // 4):
-                    continue
-                x, zc = _take(us, uzcs)
-                screened = _cells(x, rate)
-            keep = _edge_screen(spec, boost, screened, zc, j)
+            keep = _uniform_screen(spec.stat, screened, zc * rate, w, j)
+            us.append(u[keep])
+            uzcs.append(zc[keep])
+            if not (last or sum(map(len, uzcs)) >= len(u) // 4):
+                continue
+            x, zc = _take(us, uzcs)
+            keep = _edge_screen(spec, boost, _cells(x, rate), zc, j)
             xs.append(x[keep])
             zcs.append(zc[keep])
             if last or sum(map(len, zcs)) >= len(u):
@@ -310,18 +303,21 @@ def _take(rows: list, cuts: list) -> tuple[np.ndarray, np.ndarray]:
     return taken
 
 
-def _screen_weights(spec: DetectorSpec, boost: float, j: int) -> np.ndarray:
+def _screen_weights(spec: DetectorSpec, boost: float, j: int, rate: float) -> np.ndarray:
     """Per-cell weights of :func:`_uniform_screen` with the first ``j`` cells boosted.
 
-    ``tau`` less twice ``_SCREEN_SLACK`` (the sum screen's own slack, then
+    ``tau`` less twice ``_SCREEN_SLACK`` (the cell screen's own slack, then
     rounding), times ``boost`` on the first ``j`` cells, at most the largest
     double over ``N``, so that a row's weighted sum stays finite and a zero
-    uniform never meets an infinite weight.  Lower weights keep more rows.
+    uniform never meets an infinite weight.  Lower weights keep more rows:
+    outside the normal range of ``rate`` and ``tau`` they are all zero, and
+    every row with a positive CUT is kept, as at ``tau = 0``.
     """
-    n = spec.window_length
-    w = np.full(n, spec.threshold_multiplier * (1.0 - 2.0 * _SCREEN_SLACK))
-    with np.errstate(over="ignore"):
-        w[:j] *= boost
+    n, tau = spec.window_length, spec.threshold_multiplier
+    if rate > _SCREEN_MAX_RATE or 0.0 < tau < _SCREEN_MIN_TAU:
+        return np.zeros(n)
+    w = np.full(n, tau * (1.0 - 2.0 * _SCREEN_SLACK))
+    w[:j] *= boost
     return np.minimum(w, np.finfo(float).max / n)
 
 
@@ -330,20 +326,29 @@ def _uniform_screen(
 ) -> np.ndarray:
     """Rows of the uniforms ``u`` that may fire: a superset of those :func:`_edge_screen` keeps.
 
-    ``zl`` is the rows' scaled CUT times the clutter rate, ``w`` comes from
-    :func:`_screen_weights`.  A cell ``-log1p(-u) / rate`` enters the test
-    as ``w * -log1p(-u) < zl``.  The sum is nondecreasing in every cell and
-    ``-log1p(-u) >= u``, so it tests ``sum(w * u) < zl``.  An order
-    statistic ``k`` counts the cells below the CUT, and a cell is below
-    exactly when ``u < -expm1(-zl / w)``: the row's two limits (boosted and
-    not) become uniforms instead of its ``N`` uniforms becoming cells.  The
-    limits are raised by twice ``_SCREEN_SLACK``, an absolute margin near 1.
-    In the normal range every rounding here is relative and far inside the
-    slack.
+    ``u`` holds a chunk's uniforms (their row log sums for the geometric
+    mean), ``zl`` the rows' scaled CUT times the clutter rate, ``w`` comes
+    from :func:`_screen_weights`.  A cell ``-log1p(-u) / rate`` enters the
+    test as ``w * -log1p(-u) < zl``.  The sum is nondecreasing in every cell
+    and ``-log1p(-u) >= u``, so it tests ``sum(w * u) < zl``.  The geometric
+    mean fires when ``sum(log(w * -log1p(-u))) < N * log(zl)``, and
+    ``log(-log1p(-u)) >= log(u)``, so it tests
+    ``sum(log(u)) + sum(log(w)) < N * log(zl)``.  An order statistic ``k``
+    counts the cells below the CUT, and a cell is below exactly when
+    ``u < -expm1(-zl / w)``: the row's two limits (boosted and not) become
+    uniforms instead of its ``N`` uniforms becoming cells.  The limits are
+    raised by twice ``_SCREEN_SLACK``, an absolute margin near 1.  In the
+    normal range every rounding here is relative and far inside the slack;
+    for the geometric mean the slack is ``N * 2 * _SCREEN_SLACK`` in the log,
+    and SFC64's nonzero uniforms give ``|log u| <= 36.8``, so the rounding of
+    the ``N``-term log sums (a few ulps of at most ``750 * N``) stays far
+    inside it.  A zero uniform has log sum ``-inf`` and is kept.
     """
     if isinstance(stat, Sum):
         return np.einsum("ij,j->i", u, w) < zl
     n = len(w)
+    if isinstance(stat, GeometricMean):
+        return u + np.log(w).sum() < n * np.log(zl)
     with np.errstate(all="ignore"):  # a zero weight: limit 1, or NaN (none) for a zero CUT
         limits = np.stack([np.expm1(zl / -w[0]), np.expm1(zl / -w[-1])], axis=1)
     limits *= -(1.0 + 2.0 * _SCREEN_SLACK)
@@ -358,17 +363,15 @@ def _edge_screen(
 ) -> np.ndarray:
     """Trials that may fire with the first ``j`` cells boosted: a superset of those that do.
 
-    ``x`` holds the trials' cells (their log sums for the geometric mean)
-    and ``zc`` their scaled CUT: the rows :func:`_uniform_screen` kept, or
-    every row of a chunk where that screen does not apply.  An order
-    statistic ``k`` (``min`` is ``k = 1``) counts the cells with
-    ``fl(tau * y) < zc``; rounding is monotone, so that count reaches ``k``
-    exactly when ``fl(tau * y_(k)) < zc``, and the screen keeps exactly the
-    trials that fire at ``j``.  The sum
-    and the geometric mean lower the threshold by the relative
-    ``_SCREEN_SLACK``, far above the few ulps by which the rounding of
-    their sums (about ``N`` ulps) and of ``exp`` can break the order of
-    the counts.
+    ``x`` holds the cells and ``zc`` the scaled CUTs of the rows
+    :func:`_uniform_screen` kept.  An order statistic ``k`` (``min`` is
+    ``k = 1``) counts the cells with ``fl(tau * y) < zc``; rounding is
+    monotone, so that count reaches ``k`` exactly when
+    ``fl(tau * y_(k)) < zc``, and the screen keeps exactly the trials that
+    fire at ``j``.  The sum and the geometric mean lower the threshold by
+    the relative ``_SCREEN_SLACK``, far above the few ulps by which the
+    rounding of their sums (about ``N`` ulps) and of ``exp`` can break the
+    order of the counts.
     """
     stat, tau = spec.stat, spec.threshold_multiplier
     if isinstance(stat, OrderStatistic):
@@ -383,7 +386,7 @@ def _edge_screen(
         limit *= boost
         limit += x[:, j:].sum(axis=1)
     else:
-        limit = np.exp((x + j * math.log(boost)) / spec.window_length)
+        limit = np.exp((np.log(x).sum(axis=1) + j * math.log(boost)) / spec.window_length)
     limit *= tau * (1.0 - _SCREEN_SLACK)
     return zc > limit
 
@@ -508,8 +511,7 @@ def estimate_pd(
     the estimate is identical for any ``workers`` value and any execution
     order.
     """
-    if runs < 1:
-        raise ValueError(f"runs must be >= 1, got {runs}")
+    _check_count("runs", runs, 1)
     stream = seed if isinstance(seed, RandomStream) else RandomStream(int(seed))
     batch = _detection_batch(spec, clutter, [target], interference, runs, stream)
     return _point_estimates([batch], workers)[0]

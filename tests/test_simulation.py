@@ -74,7 +74,10 @@ SCREEN_CASES = {  # where the edge screen could go wrong: (counts, boost dB, clu
     "one-count-groups": ((7, 7, 12), 10.0, 1.0),  # smallest count = largest in each group
     "3050dB": (EDGE, 3050.0, 1.0),  # boosted cells near float overflow
     "rate2.5": (EDGE, 10.0, 2.5),
+    "rate2**1000": (EDGE, 10.0, 2.0**1000),  # draws over the rate can be subnormal
+    "tau2**-1010": (EDGE, 10.0, 1.0),  # tau times a draw can be subnormal
 }
+SCREEN_TAUS = {"pfa1": 0.0, "tau2**-1010": 2.0**-1010}  # cases with the threshold set by hand
 
 
 class TestDrawOrder:
@@ -195,6 +198,19 @@ class TestEstimatePd:
         with pytest.raises(ValueError):
             InterferenceSpec(-1, 10.0)
 
+    def test_runs_must_be_an_integer(self):
+        for runs in (1e5, 100.0, True):  # floats and bools are not trial counts
+            with pytest.raises(ValueError, match="^runs must be an integer"):
+                estimate_pd(DetectorSpec(Sum(), 16, 1.0), CLUTTER, None, None, runs, 1)
+        assert estimate_pd(DetectorSpec(Sum(), 16, 1.0), CLUTTER, None, None, np.int64(100),
+                           1).runs == 100
+
+    def test_interferer_count_must_be_an_integer(self):
+        for count in (1.5, 2.0, True):
+            with pytest.raises(ValueError, match="^interferer count must be an integer"):
+                InterferenceSpec(count, 10.0)
+        assert InterferenceSpec(np.int64(2), 10.0).count == 2
+
 
 class TestCalibration:
     def test_geometric_mean_pipeline_holds_design_pfa(self):
@@ -237,6 +253,17 @@ class TestRegulation:
         reg = RegulationSpec(runs=1000, affected_counts=(17,))
         with pytest.raises(ValueError):
             pfa_regulation_curve(spec, CLUTTER, reg, 1)
+
+    def test_counts_must_be_integers(self):
+        # a fractional count is refused, not truncated into the row of another count
+        for counts in ((1.5, 3, 9.9), (3.0,), (True, 2)):
+            with pytest.raises(ValueError, match="^affected cell count must be an integer"):
+                RegulationSpec(runs=20_000, boost_db=10.0, affected_counts=counts)
+        for runs in (1e5, True):
+            with pytest.raises(ValueError, match="^runs must be an integer"):
+                RegulationSpec(runs=runs)
+        reg = RegulationSpec(runs=np.int64(100), affected_counts=(np.int64(1), np.intp(3)))
+        assert [j for j, _ in pfa_regulation_curve(STATS_16[0], CLUTTER, reg, 1)] == [1, 3]
 
     @pytest.mark.parametrize("boost_db", [-3.0, math.inf])
     def test_boost_must_be_finite_increase(self, boost_db):
@@ -316,6 +343,13 @@ class TestScrSweep:
         with pytest.raises(ValueError):
             ExperimentSpec((), CLUTTER, (0.0,), runs=0, seed=1)
 
+    def test_runs_must_be_an_integer(self):
+        for runs in (1e5, True):
+            with pytest.raises(ValueError, match="^runs must be an integer"):
+                ExperimentSpec(STATS_16, CLUTTER, (0.0,), runs=runs, seed=1)
+        exp = ExperimentSpec(STATS_16[:1], CLUTTER, (0.0,), runs=np.int64(100), seed=1)
+        assert scr_sweep(exp)[0].estimates[0].runs == 100
+
 
 class TestCommonRandomNumbers:
     """The points of one curve are evaluated on one draw per block."""
@@ -341,7 +375,8 @@ class TestCommonRandomNumbers:
         (OS16, EDGE, 10.0, 1.0),
         *((spec, (16, 0, 9, 9, 3), 10.0, 1.0) for spec in STATS_16),
         *((spec, EDGE, 0.0, 1.0) for spec in STATS_16),
-        *((replace(spec, threshold_multiplier=0.0) if case == "pfa1" else spec, *args)
+        *((replace(spec, threshold_multiplier=SCREEN_TAUS[case]) if case in SCREEN_TAUS
+           else spec, *args)
           for case, args in SCREEN_CASES.items() for spec in (*STATS_16, OS16)),
     ]
     EDGE_IDS = [*STAT_IDS, "os2", "os16", *(f"{i}-unsorted" for i in STAT_IDS),
@@ -477,10 +512,13 @@ class TestUniformScreen:
     @staticmethod
     def tightest_cut(spec, boost, x, j):
         """Per row, the smallest scaled CUT that ``_edge_screen`` keeps at ``j`` (inf: none)."""
-        tau = spec.threshold_multiplier
-        with np.errstate(over="ignore"):
+        tau, n = spec.threshold_multiplier, spec.window_length
+        with np.errstate(over="ignore", divide="ignore"):
             if isinstance(spec.stat, Sum):
                 limit = x[:, :j].sum(axis=1) * boost + x[:, j:].sum(axis=1)
+                limit *= tau * (1.0 - simulation._SCREEN_SLACK)
+            elif isinstance(spec.stat, GeometricMean):
+                limit = np.exp((np.log(x).sum(axis=1) + j * math.log(boost)) / n)
                 limit *= tau * (1.0 - simulation._SCREEN_SLACK)
             else:
                 lifted = x.copy()
@@ -493,7 +531,7 @@ class TestUniformScreen:
                "3080dB": (EDGE, 3080.0, 1.0), "3080dB-rate2.5": (EDGE, 3080.0, 2.5)}
     CASES = [
         (case, n, name)
-        for case in SCREENS for n in (16, 32) for name in ("sum", "os13", "min", "osN")
+        for case in SCREENS for n in (16, 32) for name in ("sum", "os13", "min", "osN", "gm")
     ]
 
     @pytest.mark.parametrize("case, n, name", CASES, ids=[f"{c}-N{n}-{s}" for c, n, s in CASES])
@@ -501,8 +539,9 @@ class TestUniformScreen:
         counts, boost_db, rate = self.SCREENS[case]
         counts = tuple(j * n // 16 for j in counts)
         stat = {"sum": Sum(), "os13": OrderStatistic(13), "min": Minimum(),
-                "osN": OrderStatistic(n)}[name]
-        spec = DetectorSpec(stat, n, 0.0 if case == "pfa1" else resolve_threshold(stat, n, 1e-2))
+                "osN": OrderStatistic(n), "gm": GeometricMean()}[name]
+        spec = DetectorSpec(stat, n, SCREEN_TAUS[case] if case in SCREEN_TAUS
+                            else resolve_threshold(stat, n, 1e-2))
         boost = db_to_linear(boost_db)
         gen = RandomStream(93, n).generator()
         cut = simulation._cells(gen.random(self.ROWS), rate)
@@ -518,13 +557,16 @@ class TestUniformScreen:
         for j in counts:
             scale = boost if j > n // 2 else 1.0
             lows[scale] = min(j, lows.get(scale, j))
+        with np.errstate(divide="ignore"):  # the zero row's log sum is -inf
+            screened = np.log(u).sum(axis=1) if name == "gm" else u
         for scale, j in lows.items():
-            w = simulation._screen_weights(spec, boost, j)
             tight = self.tightest_cut(spec, boost, x, j)
-            with np.errstate(over="ignore"):  # near 3080 dB CUTs and sums overflow to inf
+            # near 3080 dB weights, CUTs and sums overflow to inf; zero weights and cells: log -inf
+            with np.errstate(over="ignore", divide="ignore"):
+                w = simulation._screen_weights(spec, boost, j, rate)
                 for zc in (cut * scale, tight):
                     on_cells = simulation._edge_screen(spec, boost, x, zc, j)
-                    on_uniforms = simulation._uniform_screen(stat, u, zc * rate, w, j)
+                    on_uniforms = simulation._uniform_screen(stat, screened, zc * rate, w, j)
                     assert on_uniforms[on_cells].all(), (scale, j)
                 # the tightest CUTs sit on the cell screen's boundary: it keeps each finite one
                 assert np.array_equal(simulation._edge_screen(spec, boost, x, tight, j),
@@ -547,7 +589,7 @@ class TestUniformScreen:
     @pytest.mark.parametrize("spec", STATS_16, ids=STAT_IDS)
     def test_few_rows_reach_the_transform(self, spec, monkeypatch):
         # design Pfa 1e-3, 2 dB edge: the uniform screen passes few of a block's
-        # CRP rows on to the transform; the geometric mean transforms them all
+        # CRP rows on to the transform
         rows, cells = [], simulation._cells
 
         def counted(u, rate):
@@ -561,10 +603,7 @@ class TestUniformScreen:
             spec, CLUTTER, RegulationSpec(runs=BLOCK_TRIALS, boost_db=2.0), RandomStream(89)
         )
         assert len(simulation._batch_successes(batch)) == 17
-        if isinstance(spec.stat, GeometricMean):
-            assert sum(rows) == BLOCK_TRIALS
-        else:
-            assert 0 < sum(rows) < 0.25 * BLOCK_TRIALS, sum(rows) / BLOCK_TRIALS
+        assert 0 < sum(rows) < 0.25 * BLOCK_TRIALS, sum(rows) / BLOCK_TRIALS
 
 
 class TestChunkSize:
@@ -591,8 +630,8 @@ class TestChunkSize:
     @pytest.mark.parametrize("spec", STATS_16, ids=STAT_IDS)
     def test_edge_counts(self, spec, case, monkeypatch):
         counts, boost_db, rate = SCREEN_CASES[case]
-        if case == "pfa1":
-            spec = replace(spec, threshold_multiplier=0.0)
+        if case in SCREEN_TAUS:
+            spec = replace(spec, threshold_multiplier=SCREEN_TAUS[case])
         reg = RegulationSpec(runs=self.RUNS, boost_db=boost_db, affected_counts=counts)
         default, *others = self.at_each_size(
             monkeypatch, lambda: pfa_regulation_curve(spec, ClutterModel(rate), reg, 92)
