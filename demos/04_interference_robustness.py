@@ -4,7 +4,7 @@ Injects a single strong Swerling I interferer into the reference window
 and measures the detection loss of each detector at its clean Pd = 0.9
 operating point.  The order statistic discards the interferer's cell and
 loses almost nothing; the cell average absorbs it and collapses.
-About two seconds at these run counts on a 2-core host.
+About one second at these run counts on a 2-core host.
 """
 
 import math

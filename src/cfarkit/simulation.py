@@ -17,10 +17,10 @@ grid, an estimate, one edge count) computes the clutter statistic once
 per trial; a batch whose counts differ (a clutter-edge sweep) screens
 each chunk once per CUT scale on its raw uniforms, before any cell is
 computed, and computes the statistic at every count only on the trials
-the screens keep.  Every statistic that decides a counted trial comes
-from :func:`cfarkit.detector._stat_rows`.  Per-block success counts are
-combined by exact integer addition, so results are identical for any
-worker count and any scheduling order.
+the screens keep.  Every statistic computed on cells, the edge screen's
+included, comes from :func:`cfarkit.detector._stat_rows`.  Per-block
+success counts are combined by exact integer addition, so results are
+identical for any worker count and any scheduling order.
 
 A run plans first: the public operations (and the CLI) build every batch
 of the run, split each batch into its blocks, and map all blocks through
@@ -121,9 +121,9 @@ class PdEstimate:
     runs: int
 
     def __post_init__(self) -> None:
-        if self.runs < 1:
-            raise ValueError(f"runs must be >= 1, got {self.runs}")
-        if not 0 <= self.successes <= self.runs:
+        _check_count("runs", self.runs, 1)
+        _check_count("successes", self.successes, 0)
+        if self.successes > self.runs:
             raise ValueError(f"successes {self.successes} outside [0, {self.runs}]")
 
     @property
@@ -261,11 +261,11 @@ def _edge_successes(batch: _TrialBatch, chunks, cut: np.ndarray) -> list[int]:
     geometric mean their row log sums, taken once per chunk); it keeps
     0.2-4% at design Pfa 1e-3 and a 2 dB edge.  Once a quarter chunk of
     kept rows waits they alone are turned into cells, bit for bit as in
-    the whole chunk, and :func:`_edge_screen` keeps the rows that fire at
-    ``j_min`` (under 1%); once a chunk's worth waits they go through
-    :func:`_edge_hits`.  The waits bound a block's memory and give each
-    call many rows.  Each screen keeps every trial that fires at some
-    count, so none changes.
+    the whole chunk, and :func:`_edge_screen`, the statistic kernel at
+    ``j_min`` less a slack, keeps the rows that may fire (under 1%); once
+    a chunk's worth waits they go through :func:`_edge_hits`.  The waits
+    bound a block's memory and give each call many rows.  Each screen
+    keeps every trial that fires at some count, so none changes.
     """
     spec, boost, rate = batch.spec, batch.scale, batch.rate
     counts = np.asarray(batch.counts, dtype=np.intp)
@@ -328,10 +328,13 @@ def _uniform_screen(
 
     ``u`` holds a chunk's uniforms (their row log sums for the geometric
     mean), ``zl`` the rows' scaled CUT times the clutter rate, ``w`` comes
-    from :func:`_screen_weights`.  A cell ``-log1p(-u) / rate`` enters the
-    test as ``w * -log1p(-u) < zl``.  The sum is nondecreasing in every cell
-    and ``-log1p(-u) >= u``, so it tests ``sum(w * u) < zl``.  The geometric
-    mean fires when ``sum(log(w * -log1p(-u))) < N * log(zl)``, and
+    from :func:`_screen_weights`.  :func:`_edge_screen` keeps a row whose
+    ``zc`` exceeds ``tau`` times its statistic less ``_SCREEN_SLACK``;
+    ``w`` is lower by a second slack, for the rounding of both screens.  A
+    cell ``-log1p(-u) / rate`` enters the test as ``w * -log1p(-u) < zl``.
+    The sum is nondecreasing in every cell and ``-log1p(-u) >= u``, so it
+    tests ``sum(w * u) < zl``.  The geometric mean fires when
+    ``sum(log(w * -log1p(-u))) < N * log(zl)``, and
     ``log(-log1p(-u)) >= log(u)``, so it tests
     ``sum(log(u)) + sum(log(w)) < N * log(zl)``.  An order statistic ``k``
     counts the cells below the CUT, and a cell is below exactly when
@@ -358,54 +361,37 @@ def _uniform_screen(
     return count >= stat.k
 
 
+def _edge_limits(spec: DetectorSpec, boost: float, x: np.ndarray, j: int) -> np.ndarray:
+    """``tau`` times :func:`_stat_rows` of a copy of the cells ``x``, its first ``j`` boosted."""
+    y = x.copy()
+    y[:, :j] *= boost
+    return _stat_rows(spec.stat, y) * spec.threshold_multiplier
+
+
 def _edge_screen(
     spec: DetectorSpec, boost: float, x: np.ndarray, zc: np.ndarray, j: int
 ) -> np.ndarray:
-    """Trials that may fire with the first ``j`` cells boosted: a superset of those that do.
+    """Trials that may fire at some count ``>= j``: a superset of those that do.
 
     ``x`` holds the cells and ``zc`` the scaled CUTs of the rows
-    :func:`_uniform_screen` kept.  An order statistic ``k`` (``min`` is
-    ``k = 1``) counts the cells with ``fl(tau * y) < zc``; rounding is
-    monotone, so that count reaches ``k`` exactly when
-    ``fl(tau * y_(k)) < zc``, and the screen keeps exactly the trials that
-    fire at ``j``.  The sum and the geometric mean lower the threshold by
-    the relative ``_SCREEN_SLACK``, far above the few ulps by which the
-    rounding of their sums (about ``N`` ulps) and of ``exp`` can break the
-    order of the counts.
+    :func:`_uniform_screen` kept; the limit is :func:`_edge_limits` at ``j``
+    less ``_SCREEN_SLACK``.  ``boost >= 1`` and every statistic is
+    nondecreasing in every cell, so no limit falls as the count grows: for
+    the sum and the order statistics exactly in floating point (one
+    summation order, monotone rounding, an exact partition), for the
+    geometric mean up to the few ulps of ``log`` and ``exp``, far inside the
+    slack.
     """
-    stat, tau = spec.stat, spec.threshold_multiplier
-    if isinstance(stat, OrderStatistic):
-        zc = zc[:, None]
-        lifted = x[:, :j] * boost
-        lifted *= tau
-        below = np.count_nonzero(lifted < zc, axis=1)
-        below += np.count_nonzero(x[:, j:] * tau < zc, axis=1)
-        return below >= stat.k
-    if isinstance(stat, Sum):
-        limit = x[:, :j].sum(axis=1)
-        limit *= boost
-        limit += x[:, j:].sum(axis=1)
-    else:
-        limit = np.exp((np.log(x).sum(axis=1) + j * math.log(boost)) / spec.window_length)
-    limit *= tau * (1.0 - _SCREEN_SLACK)
+    limit = _edge_limits(spec, boost, x, j)
+    limit *= 1.0 - _SCREEN_SLACK
     return zc > limit
 
 
 def _edge_hits(
     spec: DetectorSpec, boost: float, x: np.ndarray, zc: np.ndarray, counts: np.ndarray
 ) -> np.ndarray:
-    """Successes at each affected count ``j`` among the screened trials ``x``, ``zc``.
-
-    Each count boosts the first ``j`` cells of a copy of the rows and
-    compares ``zc`` against :func:`_stat_rows` of that copy, so every row
-    equals a per-point evaluation bit for bit.
-    """
-    hits = np.empty(len(counts), dtype=np.int64)
-    for p, j in enumerate(counts):
-        y = x.copy()
-        y[:, :j] *= boost
-        hits[p] = np.count_nonzero(zc > _stat_rows(spec.stat, y) * spec.threshold_multiplier)
-    return hits
+    """Successes at each count among the screened trials, bit for bit as per-point evaluations."""
+    return np.array([np.count_nonzero(zc > _edge_limits(spec, boost, x, j)) for j in counts])
 
 
 def _point_estimates(batches: Sequence[_TrialBatch], workers: int) -> list[PdEstimate]:
@@ -418,8 +404,7 @@ def _point_estimates(batches: Sequence[_TrialBatch], workers: int) -> list[PdEst
     through one pool of at most one process per block; integer addition
     makes each point's sum independent of the order in which workers finish.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    _check_count("workers", workers, 1)
     owners, blocks = [], []
     for index, batch in enumerate(batches):
         n_blocks = (batch.trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS if batch.cut_scales else 0

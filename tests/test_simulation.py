@@ -144,6 +144,17 @@ class TestPdEstimate:
         with pytest.raises(ValueError):
             PdEstimate(successes=11, runs=10)
 
+    @pytest.mark.parametrize("successes, runs, field", [
+        (0, True, "runs"), (1, 2.5, "runs"), (1, 2.0, "runs"), (1, "10", "runs"),
+        (True, 10, "successes"), (0.0, 10, "successes"), (-1, 10, "successes"),
+    ])
+    def test_fields_must_be_integers(self, successes, runs, field):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer >= "):
+            PdEstimate(successes, runs)
+
+    def test_numpy_integers_accepted(self):
+        assert PdEstimate(np.int64(3), np.int32(10)).p_hat == 0.3
+
 
 class TestEstimatePd:
     def test_matches_ca_pd(self):
@@ -424,18 +435,22 @@ class TestCommonRandomNumbers:
 
     @pytest.mark.parametrize("spec", STATS_16, ids=STAT_IDS)
     def test_per_count_statistic_sees_only_screened_rows(self, spec, monkeypatch):
-        # design Pfa 1e-3, 2 dB edge: no per-count pass covers the whole block;
-        # each kept row is evaluated once per count of its CUT-scale group
-        kept, rows = {}, []
+        # design Pfa 1e-3, 2 dB edge: no statistic pass covers the whole block;
+        # the cell screen makes one pass on the rows it is given, and each row
+        # it keeps is evaluated once per count of its CUT-scale group
+        kept, given, inside, screen_rows, count_rows = {}, [], [], [], []
         screen, kernel = simulation._edge_screen, simulation._stat_rows
 
         def counted_screen(spec, boost, x, zc, j):
+            given.append(len(x))
+            inside.append(j)
             keep = screen(spec, boost, x, zc, j)
+            inside.pop()
             kept[j] = kept.get(j, 0) + int(np.count_nonzero(keep))
             return keep
 
         def counted_kernel(stat, crp):
-            rows.append(len(crp))
+            (screen_rows if inside else count_rows).append(len(crp))
             return kernel(stat, crp)
 
         monkeypatch.setattr(simulation, "_edge_screen", counted_screen)
@@ -447,9 +462,11 @@ class TestCommonRandomNumbers:
         assert len(simulation._batch_successes(batch)) == 17
         # counts 0..8 keep the CUT unboosted (screened at j = 0), 9..16 boost it (j = 9)
         assert sorted(kept) == [0, 9] and min(kept.values()) > 0
-        assert len(rows) >= 17
-        assert max(rows) <= sum(kept.values()) < 0.05 * BLOCK_TRIALS, max(rows)
-        assert sum(rows) == 9 * kept[0] + 8 * kept[9]
+        assert screen_rows == given  # one kernel call per screen call, on its rows
+        assert len(count_rows) >= 17
+        assert max(screen_rows + count_rows) < 0.05 * BLOCK_TRIALS, max(screen_rows + count_rows)
+        assert max(count_rows) <= sum(kept.values())
+        assert sum(count_rows) == 9 * kept[0] + 8 * kept[9]
 
     def test_ca_rows_match_exact_heterogeneous_pd(self):
         # CA with CUT scale c0 and cell scales c_i: Pd = prod_i (1 + u c_i)^-1, u = tau/c0
@@ -510,21 +527,19 @@ class TestUniformScreen:
     ROWS = 4096
 
     @staticmethod
-    def tightest_cut(spec, boost, x, j):
-        """Per row, the smallest scaled CUT that ``_edge_screen`` keeps at ``j`` (inf: none)."""
-        tau, n = spec.threshold_multiplier, spec.window_length
+    def limits(spec, boost, x, j):
+        """Per row, ``tau`` times the statistic of the cells ``x`` with the first ``j`` boosted."""
+        y = x.copy()
+        # near 3080 dB cells and limits overflow to inf; a zero cell's log is -inf
         with np.errstate(over="ignore", divide="ignore"):
-            if isinstance(spec.stat, Sum):
-                limit = x[:, :j].sum(axis=1) * boost + x[:, j:].sum(axis=1)
-                limit *= tau * (1.0 - simulation._SCREEN_SLACK)
-            elif isinstance(spec.stat, GeometricMean):
-                limit = np.exp((np.log(x).sum(axis=1) + j * math.log(boost)) / n)
-                limit *= tau * (1.0 - simulation._SCREEN_SLACK)
-            else:
-                lifted = x.copy()
-                lifted[:, :j] *= boost
-                lifted *= tau
-                limit = np.partition(lifted, spec.stat.k - 1, axis=1)[:, spec.stat.k - 1]
+            y[:, :j] *= boost
+            return detector._stat_rows(spec.stat, y) * spec.threshold_multiplier
+
+    @classmethod
+    def tightest_cut(cls, spec, boost, x, j):
+        """Per row, the smallest scaled CUT that ``_edge_screen`` keeps at ``j`` (inf: none)."""
+        limit = cls.limits(spec, boost, x, j)
+        limit *= 1.0 - simulation._SCREEN_SLACK
         return np.nextafter(limit, np.inf)
 
     SCREENS = {**SCREEN_CASES,  # and weights that overflow, where the clamp decides
@@ -533,16 +548,16 @@ class TestUniformScreen:
         (case, n, name)
         for case in SCREENS for n in (16, 32) for name in ("sum", "os13", "min", "osN", "gm")
     ]
+    CASE_IDS = [f"{c}-N{n}-{s}" for c, n, s in CASES]
 
-    @pytest.mark.parametrize("case, n, name", CASES, ids=[f"{c}-N{n}-{s}" for c, n, s in CASES])
-    def test_keeps_every_row_the_cell_screen_keeps(self, case, n, name):
+    def adversarial(self, case, n, name):
+        """The case's detector, boost and rate, its CUTs, uniforms and cells, and its
+        counts grouped by CUT scale, as the edge pass groups them."""
         counts, boost_db, rate = self.SCREENS[case]
-        counts = tuple(j * n // 16 for j in counts)
         stat = {"sum": Sum(), "os13": OrderStatistic(13), "min": Minimum(),
                 "osN": OrderStatistic(n), "gm": GeometricMean()}[name]
         spec = DetectorSpec(stat, n, SCREEN_TAUS[case] if case in SCREEN_TAUS
                             else resolve_threshold(stat, n, 1e-2))
-        boost = db_to_linear(boost_db)
         gen = RandomStream(93, n).generator()
         cut = simulation._cells(gen.random(self.ROWS), rate)
         u = gen.random((self.ROWS, n))
@@ -553,24 +568,47 @@ class TestUniformScreen:
         u[192:256, ::2] = 1.0 - u[192:256, ::2] * 2.0**-36
         u[256], u[257] = 0.0, np.nextafter(1.0, 0.0)
         x = simulation._cells(u.copy(), rate)
-        lows = {}  # smallest count per CUT scale, as the edge pass groups them
-        for j in counts:
-            scale = boost if j > n // 2 else 1.0
-            lows[scale] = min(j, lows.get(scale, j))
+        boost = db_to_linear(boost_db)
+        groups = {}
+        for j in (j * n // 16 for j in counts):
+            groups.setdefault(boost if j > n // 2 else 1.0, []).append(j)
+        return spec, boost, rate, cut, u, x, groups
+
+    @pytest.mark.parametrize("case, n, name", CASES, ids=CASE_IDS)
+    def test_keeps_every_row_the_cell_screen_keeps(self, case, n, name):
+        spec, boost, rate, cut, u, x, groups = self.adversarial(case, n, name)
         with np.errstate(divide="ignore"):  # the zero row's log sum is -inf
             screened = np.log(u).sum(axis=1) if name == "gm" else u
-        for scale, j in lows.items():
+        for scale, group in groups.items():
+            j = min(group)
             tight = self.tightest_cut(spec, boost, x, j)
             # near 3080 dB weights, CUTs and sums overflow to inf; zero weights and cells: log -inf
             with np.errstate(over="ignore", divide="ignore"):
                 w = simulation._screen_weights(spec, boost, j, rate)
                 for zc in (cut * scale, tight):
                     on_cells = simulation._edge_screen(spec, boost, x, zc, j)
-                    on_uniforms = simulation._uniform_screen(stat, screened, zc * rate, w, j)
+                    on_uniforms = simulation._uniform_screen(spec.stat, screened, zc * rate, w, j)
                     assert on_uniforms[on_cells].all(), (scale, j)
                 # the tightest CUTs sit on the cell screen's boundary: it keeps each finite one
                 assert np.array_equal(simulation._edge_screen(spec, boost, x, tight, j),
                                       np.isfinite(tight))
+
+    @pytest.mark.parametrize("case, n, name", CASES, ids=CASE_IDS)
+    def test_screen_at_the_lowest_count_keeps_every_row_that_fires_in_its_group(
+        self, case, n, name
+    ):
+        spec, boost, rate, cut, u, x, groups = self.adversarial(case, n, name)
+        for scale, group in groups.items():
+            # the CUTs of the case, and per count of the group the smallest CUTs that fire there
+            firing = [np.nextafter(self.limits(spec, boost, x, j), np.inf) for j in group]
+            with np.errstate(over="ignore", divide="ignore"):
+                for i, zc in enumerate([cut * scale, *firing]):
+                    if i:  # each row whose limit is finite fires at its count
+                        fired = simulation._edge_hits(spec, boost, x, zc, [group[i - 1]])
+                        assert fired.tolist() == [np.count_nonzero(np.isfinite(zc))]
+                    dropped = ~simulation._edge_screen(spec, boost, x, zc, min(group))
+                    hits = simulation._edge_hits(spec, boost, x[dropped], zc[dropped], group)
+                    assert hits.tolist() == [0] * len(group), (scale, group, i)
 
     @pytest.mark.parametrize("rate", [1.0, 2.5, 2.0**-960])
     def test_kept_rows_turn_into_the_cells_of_the_whole_chunk(self, rate):
@@ -670,8 +708,20 @@ class TestRunPlan:
             "scr_sweep": lambda: scr_sweep(
                 ExperimentSpec((spec,), CLUTTER, (0.0,), 100, 1), workers=workers),
         }[operation]
-        with pytest.raises(ValueError, match="workers must be >= 1"):
+        with pytest.raises(ValueError, match="workers must be an integer >= 1"):
             call()
+
+    @pytest.mark.parametrize("workers", [2.0, 1.0, True, "2", None])
+    def test_workers_must_be_an_integer(self, workers):
+        spec = DetectorSpec(Sum(), 16, ca_threshold(1e-2, 16))
+        with pytest.raises(ValueError, match=r"^workers must be an integer >= 1, got "):
+            estimate_pd(spec, CLUTTER, None, None, 100, 1, workers=workers)
+
+    def test_numpy_integer_workers_accepted(self, pools_started):
+        spec = DetectorSpec(Sum(), 16, ca_threshold(1e-2, 16))
+        one = estimate_pd(spec, CLUTTER, None, None, self.RUNS, 8)
+        assert estimate_pd(spec, CLUTTER, None, None, self.RUNS, 8, workers=np.int64(2)) == one
+        assert len(pools_started) == 1
 
     def test_pool_never_outnumbers_blocks(self, monkeypatch):
         sizes = []
