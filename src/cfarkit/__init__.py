@@ -25,7 +25,7 @@ _SUBMODULE_OF = {
         "stats"),
     **dict.fromkeys(
         ("Decision", "Sum", "OrderStatistic", "GeometricMean", "Minimum", "StatKind",
-         "DetectorSpec", "clutter_statistic", "decide", "slide"),
+         "DetectorSpec", "resolve_threshold", "clutter_statistic", "decide", "slide"),
         "detector"),
     **dict.fromkeys(
         ("ThresholdSolverError", "ca_pd", "ca_pfa", "ca_threshold", "os_pd", "os_pfa",
@@ -33,7 +33,7 @@ _SUBMODULE_OF = {
         "analytic"),
     **dict.fromkeys(
         ("InterferenceSpec", "PdEstimate", "RegulationSpec", "ExperimentSpec", "DetectorCurve",
-         "estimate_pd", "pfa_regulation_curve", "scr_sweep", "resolve_threshold"),
+         "estimate_pd", "pfa_regulation_curve", "scr_sweep"),
         "simulation"),
 }
 

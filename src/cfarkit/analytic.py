@@ -91,9 +91,14 @@ def _check_pfa(pfa: float) -> None:
         raise ValueError(f"design Pfa must lie in (0, 1], got {pfa!r}")
 
 
+def _check_count(name: str, value, low: int) -> None:
+    """Refuse a ``value`` that is not an integer (a bool, a float) or is below ``low``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 def _check_window(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"window length must be >= 1, got {n}")
+    _check_count("window length", n, 1)
 
 
 def ca_pd(tau: float, scr: float, n: int) -> float:
@@ -138,7 +143,8 @@ def _os_log_prob(u: float, n: int, k: int) -> tuple[float, float]:
 
 
 def _check_os_index(k: int, n: int) -> None:
-    if not 1 <= k <= n:
+    _check_count("order-statistic index", k, 1)
+    if k > n:
         raise ValueError(f"order-statistic index must satisfy 1 <= k <= {n}, got {k}")
 
 

@@ -29,16 +29,15 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-from .analytic import ThresholdSolverError, ca_pd, gm_pd, ideal_pd, os_pd
+from .analytic import ThresholdSolverError, ideal_pd
 from .config import DetectorRequest, RunConfig
-from .detector import DetectorSpec, GeometricMean, OrderStatistic, Sum
+from .detector import DetectorSpec, resolve_threshold
 from .simulation import (
     InterferenceSpec,
     RegulationSpec,
     _detection_batch,
     _point_estimates,
     _regulation_points,
-    resolve_threshold,
 )
 from .stats import ClutterModel, RandomStream, TargetContext, db_to_linear
 
@@ -106,23 +105,6 @@ def _emit_rows(columns: tuple[str, ...], rows: list[list], fmt: str, out: str | 
         Path(out).write_text(text, encoding="utf-8", newline="")
 
 
-def _exact_pd(spec: DetectorSpec):
-    """Exact Pd ``scr -> Pd`` of the detector in a clean CRP."""
-    stat, tau, n = spec.stat, spec.threshold_multiplier, spec.window_length
-    if isinstance(stat, Sum):
-        return lambda s: ca_pd(tau, s, n)
-    if isinstance(stat, OrderStatistic):
-        return lambda s: os_pd(tau, s, n, stat.k)
-    if isinstance(stat, GeometricMean):
-        return lambda s: gm_pd(tau, s, n)
-    raise TypeError(f"unknown statistic kind: {stat!r}")
-
-
-def _stat_column(req: DetectorRequest) -> tuple[str, str]:
-    names = {"ca": "sum", "os": "os", "gm": "gm", "min": "min", "ideal": "ideal"}
-    return names[req.kind], "" if req.k is None else str(req.k)
-
-
 def _resolve(req: DetectorRequest, cfg: RunConfig) -> DetectorSpec:
     stat = req.to_stat()
     try:
@@ -149,13 +131,15 @@ def _pd_curve_rows(cfg: RunConfig) -> list[list]:
     rows: list[list] = []
     pending, batches = [], []  # Monte Carlo rows, completed from one call below
     for d_index, req in enumerate(cfg.detectors):
-        stat_name, k_text = _stat_column(req)
+        stat_name, k_text = req.stat_columns()
         if req.kind == "ideal":
             # fixed-threshold bound: analytic, unaffected by CRP interference
             exact, levels = (lambda s: ideal_pd(cfg.design_pfa, s)), (None,)
         else:
+            # exact Pd in a clean CRP
             spec = _resolve(req, cfg)
-            exact, levels = _exact_pd(spec), cfg.interference_db
+            exact = lambda s: spec.stat.pd(spec.threshold_multiplier, s, spec.window_length)
+            levels = cfg.interference_db
         for i_index, inr_db in enumerate(levels):
             label = req.label() if inr_db is None else f"{req.label()}+int{inr_db:g}dB"
             if inr_db is None:

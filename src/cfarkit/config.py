@@ -23,9 +23,20 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .detector import GeometricMean, OrderStatistic, StatKind, Sum
+from .detector import GeometricMean, Minimum, OrderStatistic, StatKind, Sum
 
 __all__ = ["DetectorRequest", "RunConfig", "parse_key_values"]
+
+# detector token -> its ``stat`` output column and its statistic kind (none for ideal);
+# ``min`` is ``os:1`` but keeps its own column, ``min,""`` where ``os:1`` gives ``os,1``
+_TOKENS = {
+    "ca": ("sum", Sum),
+    "os": ("os", OrderStatistic),
+    "min": ("min", Minimum),
+    "gm": ("gm", GeometricMean),
+    "ideal": ("ideal", None),
+}
+
 
 @dataclass(frozen=True)
 class DetectorRequest:
@@ -37,17 +48,17 @@ class DetectorRequest:
     def label(self) -> str:
         return f"os{self.k}" if self.kind == "os" else self.kind
 
+    def stat_columns(self) -> tuple[str, str]:
+        """The ``stat`` and ``k`` columns of this detector's output rows."""
+        return _TOKENS[self.kind][0], "" if self.k is None else str(self.k)
+
     def to_stat(self) -> StatKind:
-        if self.kind == "ca":
-            return Sum()
-        if self.kind == "os":
-            assert self.k is not None
-            return OrderStatistic(self.k)
-        if self.kind == "min":
-            return OrderStatistic(1)
-        if self.kind == "gm":
-            return GeometricMean()
-        raise ValueError(f"detector {self.label()!r} has no clutter statistic")
+        if self.kind == "os" and self.k is None:
+            raise ValueError("detector token 'os' needs an order-statistic index, as in os:<k>")
+        kind = _TOKENS.get(self.kind, (None, None))[1]
+        if kind is None:
+            raise ValueError(f"detector {self.label()!r} has no clutter statistic")
+        return kind(self.k) if self.kind == "os" else kind()
 
 
 def parse_key_values(text: str) -> dict[str, str]:

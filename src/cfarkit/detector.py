@@ -14,6 +14,14 @@ statistic ``k = 1``), and a target is declared when the CUT strictly
 exceeds ``tau * g``.  Scale invariance of the statistic is what makes the
 false-alarm rate independent of the unknown clutter power (the CFAR
 property).
+
+Each statistic kind is one class holding all that depends on the kind:
+``key``, its part of :meth:`DetectorSpec.stream_key`; ``threshold(pfa,
+n)`` and ``pd(tau, scr, n)`` from :mod:`cfarkit.analytic`;
+``check_window(n)``, which refuses a window it cannot use; and
+``rows(crp)``, the statistic of every row of a (rows, N) CRP matrix, the
+only code that computes one on cells.  ``rows`` checks nothing and may
+overwrite ``crp``, so callers pass a matrix they own.
 """
 
 from __future__ import annotations
@@ -26,6 +34,8 @@ from enum import IntEnum
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import analytic
+
 __all__ = [
     "Decision",
     "Sum",
@@ -34,6 +44,7 @@ __all__ = [
     "Minimum",
     "StatKind",
     "DetectorSpec",
+    "resolve_threshold",
     "clutter_statistic",
     "decide",
     "slide",
@@ -52,6 +63,16 @@ class Decision(IntEnum):
 class Sum:
     """Sum of the CRP (cell-averaging detector, up to the constant 1/N)."""
 
+    key = (1, 0)
+    threshold = staticmethod(analytic.ca_threshold)
+    pd = staticmethod(analytic.ca_pd)
+    check_window = staticmethod(analytic._check_window)
+
+    def rows(self, crp: np.ndarray) -> np.ndarray:
+        # two half-bank partial sums, combined: the window hardware's two-stage compression
+        half = crp.shape[1] // 2
+        return crp[:, :half].sum(axis=1) + crp[:, half:].sum(axis=1)
+
 
 @dataclass(frozen=True)
 class OrderStatistic:
@@ -60,13 +81,39 @@ class OrderStatistic:
     k: int
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"order-statistic index must be >= 1, got {self.k}")
+        analytic._check_count("order-statistic index", self.k, 1)
+
+    @property
+    def key(self) -> tuple[int, int]:
+        return (2, self.k)
+
+    def threshold(self, pfa: float, n: int) -> float:
+        return analytic.os_threshold(pfa, n, self.k)
+
+    def pd(self, tau: float, scr: float, n: int) -> float:
+        return analytic.os_pd(tau, scr, n, self.k)
+
+    def check_window(self, n: int) -> None:
+        analytic._check_os_index(self.k, n)
+
+    def rows(self, crp: np.ndarray) -> np.ndarray:
+        crp.partition(self.k - 1, axis=1)
+        return crp[:, self.k - 1].copy()
 
 
 @dataclass(frozen=True)
 class GeometricMean:
     """Geometric mean of the CRP."""
+
+    key = (3, 0)
+    threshold = staticmethod(analytic.gm_threshold)
+    pd = staticmethod(analytic.gm_pd)
+    check_window = staticmethod(analytic._check_window)
+
+    def rows(self, crp: np.ndarray) -> np.ndarray:
+        # a zero cell pushes the mean log to -inf, which maps to the limit value g = 0
+        with np.errstate(divide="ignore"):
+            return np.exp(np.log(crp, out=crp).mean(axis=1))
 
 
 def Minimum() -> OrderStatistic:
@@ -76,7 +123,15 @@ def Minimum() -> OrderStatistic:
 
 StatKind = Sum | OrderStatistic | GeometricMean
 
-_STAT_CODES: dict[type, int] = {Sum: 1, OrderStatistic: 2, GeometricMean: 3}
+
+def resolve_threshold(stat: StatKind, window: int, design_pfa: float) -> float:
+    """Threshold multiplier achieving ``design_pfa`` for any statistic kind.
+
+    Every statistic has an exact Pfa: a closed form for the sum, Rohling's
+    product of k factors for order statistics (the minimum, ``k = 1``, is
+    no special case) and a Mellin-Barnes quadrature for the geometric mean.
+    """
+    return stat.threshold(design_pfa, window)
 
 
 @dataclass(frozen=True)
@@ -101,18 +156,15 @@ class DetectorSpec:
     guard_cells: int = 8
 
     def __post_init__(self) -> None:
-        n = self.window_length
-        if n < 2 or n % 2 != 0:
-            raise ValueError(f"window length must be an even integer >= 2, got {n}")
-        if self.guard_cells < 0 or self.guard_cells % 2 != 0:
-            raise ValueError(f"guard cell count must be even and >= 0, got {self.guard_cells}")
+        n, guard = self.window_length, self.guard_cells
+        analytic._check_count("window length", n, 2)
+        analytic._check_count("guard cell count", guard, 0)
+        if n % 2 or guard % 2:
+            raise ValueError(f"window length {n} and guard cell count {guard} must be even")
         tau = self.threshold_multiplier
         if not (math.isfinite(tau) and tau >= 0):
             raise ValueError(f"threshold multiplier must be finite and >= 0, got {tau!r}")
-        if isinstance(self.stat, OrderStatistic) and self.stat.k > n:
-            raise ValueError(
-                f"order-statistic index {self.stat.k} exceeds window length {n}"
-            )
+        self.stat.check_window(n)
 
     @property
     def half_window(self) -> int:
@@ -129,15 +181,8 @@ class DetectorSpec:
 
     def stream_key(self) -> tuple[int, ...]:
         """Stable integer fingerprint for substream derivation."""
-        k = self.stat.k if isinstance(self.stat, OrderStatistic) else 0
         (tau_bits,) = struct.unpack("<Q", struct.pack("<d", self.threshold_multiplier))
-        return (
-            _STAT_CODES[type(self.stat)],
-            k,
-            self.window_length,
-            self.guard_cells,
-            tau_bits,
-        )
+        return (*self.stat.key, self.window_length, self.guard_cells, tau_bits)
 
 
 _CHUNK_CELLS = 1 << 15  # cells per row chunk (256 kB, 1,024 rows at N = 32); changes no result
@@ -148,33 +193,6 @@ def _row_chunks(rows: int, n: int):
     buf = np.empty((min(max(1, _CHUNK_CELLS // n), rows), n))
     for start in range(0, rows, len(buf)):
         yield start, buf[: rows - start]
-
-
-def _stat_rows(stat: StatKind, crp: np.ndarray) -> np.ndarray:
-    """Clutter statistic of every row of a (rows, N) CRP matrix.
-
-    The only code that computes a statistic on cells: detection blocks,
-    the clutter edge's screen and every affected count, and
-    :func:`slide`.  Inputs are not checked.
-    ``crp`` may be overwritten (the order statistic partitions it and the
-    geometric mean takes its log in place), so callers pass a matrix they
-    own; the returned vector is a new array.  The sum is accumulated as
-    two half-bank partial sums and combined, mirroring the two-stage
-    compression of the window hardware.
-    """
-    n = crp.shape[1]
-    if isinstance(stat, Sum):
-        half = n // 2
-        return crp[:, :half].sum(axis=1) + crp[:, half:].sum(axis=1)
-    if isinstance(stat, OrderStatistic):
-        crp.partition(stat.k - 1, axis=1)
-        return crp[:, stat.k - 1].copy()
-    if isinstance(stat, GeometricMean):
-        # a zero cell pushes the mean log to -inf, which maps to the limit
-        # value g = 0
-        with np.errstate(divide="ignore"):
-            return np.exp(np.log(crp, out=crp).mean(axis=1))
-    raise TypeError(f"unknown statistic kind: {stat!r}")
 
 
 def _check_values(values: np.ndarray, what: str) -> None:
@@ -191,12 +209,9 @@ def clutter_statistic(stat: StatKind, crp: np.ndarray) -> float:
     if values.ndim != 1 or values.size == 0:
         raise ValueError("CRP must be a nonempty 1-D array")
     _check_values(values, "CRP")
-    if isinstance(stat, OrderStatistic) and stat.k > values.size:
-        raise ValueError(
-            f"order-statistic index {stat.k} exceeds CRP length {values.size}"
-        )
+    stat.check_window(values.size)
     # np.asarray may alias the caller's array, and the kernel overwrites its input
-    return float(_stat_rows(stat, values[None, :].copy())[0])
+    return float(stat.rows(values[None, :].copy())[0])
 
 
 def decide(z0: float, g: float, tau: float) -> Decision:
@@ -235,7 +250,7 @@ def slide(profile: np.ndarray, spec: DetectorSpec) -> np.ndarray:
     for start, crp in _row_chunks(len(windows), spec.window_length):
         rows = windows[start : start + len(crp)]
         banks = [rows[:, : spec.half_window], rows[:, reach + spec.guard_per_side + 1 :]]
-        g = _stat_rows(spec.stat, np.concatenate(banks, axis=1, out=crp))
+        g = spec.stat.rows(np.concatenate(banks, axis=1, out=crp))
         if not np.all(np.isfinite(g)):
             raise ValueError("clutter statistic overflows double precision")
         g *= spec.threshold_multiplier

@@ -18,9 +18,10 @@ per trial; a batch whose counts differ (a clutter-edge sweep) screens
 each chunk once per CUT scale on its raw uniforms, before any cell is
 computed, and computes the statistic at every count only on the trials
 the screens keep.  Every statistic computed on cells, the edge screen's
-included, comes from :func:`cfarkit.detector._stat_rows`.  Per-block
-success counts are combined by exact integer addition, so results are
-identical for any worker count and any scheduling order.
+included, comes from the statistic kind's ``rows`` in
+:mod:`cfarkit.detector`.  Per-block success counts are combined by exact
+integer addition, so results are identical for any worker count and any
+scheduling order.
 
 A run plans first: the public operations (and the CLI) build every batch
 of the run, split each batch into its blocks, and map all blocks through
@@ -44,15 +45,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analytic import ca_threshold, gm_threshold, os_threshold
+from .analytic import _check_count
 from .detector import (
     DetectorSpec,
     GeometricMean,
     OrderStatistic,
-    StatKind,
     Sum,
     _row_chunks,
-    _stat_rows,
+    resolve_threshold,
 )
 from .stats import ClutterModel, RandomStream, TargetContext, db_to_linear
 from .stats import _unit_exponential_of
@@ -86,12 +86,6 @@ _SCREEN_SLACK = 2.0**-30  # relative margin of the edge screens that round
 # rounding is not relative: the uniform screen then keeps every row
 _SCREEN_MAX_RATE = 2.0**969
 _SCREEN_MIN_TAU = 2.0**-1000
-
-
-def _check_count(name: str, value, low: int) -> None:
-    """Refuse a ``value`` that is not an integer (a bool, a float) or is below ``low``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -245,7 +239,7 @@ def _batch_successes(batch: _TrialBatch) -> list[int]:
         for start, u in chunks:
             x = _cells(u, batch.rate)
             x[:, :j] *= batch.scale
-            limit[start : start + len(x)] = _stat_rows(batch.spec.stat, x)
+            limit[start : start + len(x)] = batch.spec.stat.rows(x)
         limit *= batch.spec.threshold_multiplier
         return [int(np.count_nonzero(cut * c > limit)) for c in batch.cut_scales]
 
@@ -257,7 +251,7 @@ def _edge_successes(batch: _TrialBatch, chunks, cut: np.ndarray) -> list[int]:
     that share a CUT scale form a group.  ``B >= 1`` and every statistic is
     nondecreasing in every cell, so a trial that fires at any count of a
     group fires at its smallest count ``j_min``, where the group screens
-    each chunk.  :func:`_uniform_screen` tests the raw uniforms (the
+    each chunk.  ``_UNIFORM_SCREENS`` tests the raw uniforms (the
     geometric mean their row log sums, taken once per chunk); it keeps
     0.2-4% at design Pfa 1e-3 and a 2 dB edge.  Once a quarter chunk of
     kept rows waits they alone are turned into cells, bit for bit as in
@@ -276,12 +270,13 @@ def _edge_successes(batch: _TrialBatch, chunks, cut: np.ndarray) -> list[int]:
     raw_kept = [([], []) for _ in groups]  # per group: kept uniform rows and CUTs, waiting
     kept = [([], []) for _ in groups]  # per group: kept cell rows and CUTs, waiting
     hits = np.zeros(len(counts), dtype=np.int64)
+    screen_input, uniform_screen = _UNIFORM_SCREENS[type(spec.stat)]
     for start, u in chunks:
         last = start + len(u) == len(cut)
-        screened = np.log(u).sum(axis=1) if isinstance(spec.stat, GeometricMean) else u
+        screened = screen_input(u)
         for members, j, w, (us, uzcs), (xs, zcs) in zip(groups, lows, weights, raw_kept, kept):
             zc = cut[start : start + len(u)] * scales[members[0]]
-            keep = _uniform_screen(spec.stat, screened, zc * rate, w, j)
+            keep = uniform_screen(spec.stat, screened, zc * rate, w, j)
             us.append(u[keep])
             uzcs.append(zc[keep])
             if not (last or sum(map(len, uzcs)) >= len(u) // 4):
@@ -304,7 +299,7 @@ def _take(rows: list, cuts: list) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _screen_weights(spec: DetectorSpec, boost: float, j: int, rate: float) -> np.ndarray:
-    """Per-cell weights of :func:`_uniform_screen` with the first ``j`` cells boosted.
+    """Per-cell weights of the uniform screens with the first ``j`` cells boosted.
 
     ``tau`` less twice ``_SCREEN_SLACK`` (the cell screen's own slack, then
     rounding), times ``boost`` on the first ``j`` cells, at most the largest
@@ -321,37 +316,10 @@ def _screen_weights(spec: DetectorSpec, boost: float, j: int, rate: float) -> np
     return np.minimum(w, np.finfo(float).max / n)
 
 
-def _uniform_screen(
-    stat: StatKind, u: np.ndarray, zl: np.ndarray, w: np.ndarray, j: int
+def _order_screen(
+    stat: OrderStatistic, u: np.ndarray, zl: np.ndarray, w: np.ndarray, j: int
 ) -> np.ndarray:
-    """Rows of the uniforms ``u`` that may fire: a superset of those :func:`_edge_screen` keeps.
-
-    ``u`` holds a chunk's uniforms (their row log sums for the geometric
-    mean), ``zl`` the rows' scaled CUT times the clutter rate, ``w`` comes
-    from :func:`_screen_weights`.  :func:`_edge_screen` keeps a row whose
-    ``zc`` exceeds ``tau`` times its statistic less ``_SCREEN_SLACK``;
-    ``w`` is lower by a second slack, for the rounding of both screens.  A
-    cell ``-log1p(-u) / rate`` enters the test as ``w * -log1p(-u) < zl``.
-    The sum is nondecreasing in every cell and ``-log1p(-u) >= u``, so it
-    tests ``sum(w * u) < zl``.  The geometric mean fires when
-    ``sum(log(w * -log1p(-u))) < N * log(zl)``, and
-    ``log(-log1p(-u)) >= log(u)``, so it tests
-    ``sum(log(u)) + sum(log(w)) < N * log(zl)``.  An order statistic ``k``
-    counts the cells below the CUT, and a cell is below exactly when
-    ``u < -expm1(-zl / w)``: the row's two limits (boosted and not) become
-    uniforms instead of its ``N`` uniforms becoming cells.  The limits are
-    raised by twice ``_SCREEN_SLACK``, an absolute margin near 1.  In the
-    normal range every rounding here is relative and far inside the slack;
-    for the geometric mean the slack is ``N * 2 * _SCREEN_SLACK`` in the log,
-    and SFC64's nonzero uniforms give ``|log u| <= 36.8``, so the rounding of
-    the ``N``-term log sums (a few ulps of at most ``750 * N``) stays far
-    inside it.  A zero uniform has log sum ``-inf`` and is kept.
-    """
-    if isinstance(stat, Sum):
-        return np.einsum("ij,j->i", u, w) < zl
     n = len(w)
-    if isinstance(stat, GeometricMean):
-        return u + np.log(w).sum() < n * np.log(zl)
     with np.errstate(all="ignore"):  # a zero weight: limit 1, or NaN (none) for a zero CUT
         limits = np.stack([np.expm1(zl / -w[0]), np.expm1(zl / -w[-1])], axis=1)
     limits *= -(1.0 + 2.0 * _SCREEN_SLACK)
@@ -361,11 +329,43 @@ def _uniform_screen(
     return count >= stat.k
 
 
+# The uniform screens, per kind: what a chunk's uniforms ``u`` become once
+# per chunk (their row log sums for the geometric mean), and the screen
+# ``(stat, that, zl, w, j)`` of the rows that may fire, a superset of those
+# :func:`_edge_screen` keeps.  ``zl`` is the rows' scaled CUT times the
+# clutter rate, ``w`` comes from :func:`_screen_weights`.  :func:`_edge_screen`
+# keeps a row whose ``zc`` exceeds ``tau`` times its statistic less
+# ``_SCREEN_SLACK``; ``w`` is lower by a second slack, for the rounding of
+# both screens.  A cell ``-log1p(-u) / rate`` enters the test as
+# ``w * -log1p(-u) < zl``.  The sum is nondecreasing in every cell and
+# ``-log1p(-u) >= u``, so it tests ``sum(w * u) < zl``.  The geometric mean
+# fires when ``sum(log(w * -log1p(-u))) < N * log(zl)``, and
+# ``log(-log1p(-u)) >= log(u)``, so it tests
+# ``sum(log(u)) + sum(log(w)) < N * log(zl)``.  An order statistic ``k``
+# counts the cells below the CUT, and a cell is below exactly when
+# ``u < -expm1(-zl / w)``: the row's two limits (boosted and not) become
+# uniforms instead of its ``N`` uniforms becoming cells.  The limits are
+# raised by twice ``_SCREEN_SLACK``, an absolute margin near 1.  In the
+# normal range every rounding here is relative and far inside the slack;
+# for the geometric mean the slack is ``N * 2 * _SCREEN_SLACK`` in the log,
+# and SFC64's nonzero uniforms give ``|log u| <= 36.8``, so the rounding of
+# the ``N``-term log sums (a few ulps of at most ``750 * N``) stays far
+# inside it.  A zero uniform has log sum ``-inf`` and is kept.
+_UNIFORM_SCREENS = {
+    Sum: (lambda u: u, lambda stat, u, zl, w, j: np.einsum("ij,j->i", u, w) < zl),
+    OrderStatistic: (lambda u: u, _order_screen),
+    GeometricMean: (
+        lambda u: np.log(u).sum(axis=1),
+        lambda stat, log_sums, zl, w, j: log_sums + np.log(w).sum() < len(w) * np.log(zl),
+    ),
+}
+
+
 def _edge_limits(spec: DetectorSpec, boost: float, x: np.ndarray, j: int) -> np.ndarray:
-    """``tau`` times :func:`_stat_rows` of a copy of the cells ``x``, its first ``j`` boosted."""
+    """``tau`` times the statistic of a copy of the cells ``x``, its first ``j`` boosted."""
     y = x.copy()
     y[:, :j] *= boost
-    return _stat_rows(spec.stat, y) * spec.threshold_multiplier
+    return spec.stat.rows(y) * spec.threshold_multiplier
 
 
 def _edge_screen(
@@ -373,9 +373,9 @@ def _edge_screen(
 ) -> np.ndarray:
     """Trials that may fire at some count ``>= j``: a superset of those that do.
 
-    ``x`` holds the cells and ``zc`` the scaled CUTs of the rows
-    :func:`_uniform_screen` kept; the limit is :func:`_edge_limits` at ``j``
-    less ``_SCREEN_SLACK``.  ``boost >= 1`` and every statistic is
+    ``x`` holds the cells and ``zc`` the scaled CUTs of the rows the
+    uniform screen kept; the limit is :func:`_edge_limits` at ``j`` less
+    ``_SCREEN_SLACK``.  ``boost >= 1`` and every statistic is
     nondecreasing in every cell, so no limit falls as the count grows: for
     the sum and the order statistics exactly in floating point (one
     summation order, monotone rounding, an exact partition), for the
@@ -550,19 +550,3 @@ def scr_sweep(experiment: ExperimentSpec, *, workers: int = 1) -> tuple[Detector
         DetectorCurve(det, grid, tuple(next(estimates) for _ in grid))
         for det in experiment.detectors
     )
-
-
-def resolve_threshold(stat: StatKind, window: int, design_pfa: float) -> float:
-    """Threshold multiplier achieving ``design_pfa`` for any statistic kind.
-
-    Every statistic has an exact Pfa: a closed form for the sum, Rohling's
-    product of k factors for order statistics (the minimum, ``k = 1``, is
-    no special case) and a Mellin-Barnes quadrature for the geometric mean.
-    """
-    if isinstance(stat, Sum):
-        return ca_threshold(design_pfa, window)
-    if isinstance(stat, OrderStatistic):
-        return os_threshold(design_pfa, window, stat.k)
-    if isinstance(stat, GeometricMean):
-        return gm_threshold(design_pfa, window)
-    raise TypeError(f"unknown statistic kind: {stat!r}")

@@ -18,8 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .analytic import ca_pd, ca_pfa, ca_threshold, gm_pfa, gm_threshold, ideal_pd
-from .analytic import os_pd, os_pfa, os_threshold
+from .analytic import ca_pd, ca_threshold, ideal_pd, os_pd, os_pfa, os_threshold
 from .detector import (
     DetectorSpec,
     GeometricMean,
@@ -99,19 +98,13 @@ def _check_sum_compression() -> tuple[bool, str]:
     return worst <= 1e-12, f"half-bank sum vs direct sum, worst {worst:.2e}"
 
 
-def _round_trip(pfa_of, threshold_of, bound: float) -> tuple[bool, str]:
+def _round_trip(stats_of, bound: float) -> tuple[bool, str]:
+    """Pfa (Pd at SCR 0) at the solved threshold of each statistic ``stats_of(n)``."""
     worst = 0.0
     for p, n in itertools.product((1e-2, 1e-4, 1e-6), (8, 16, 32, 64)):
-        worst = max(worst, abs(pfa_of(threshold_of(p, n), n) - p) / p)
+        for stat in stats_of(n):
+            worst = max(worst, abs(stat.pd(stat.threshold(p, n), 0.0, n) - p) / p)
     return worst <= bound, f"worst relative residual {worst:.2e} (bound {bound:g})"
-
-
-def _check_os_round_trip() -> tuple[bool, str]:
-    worst = 0.0
-    for p, n in itertools.product((1e-2, 1e-4, 1e-6), (8, 16, 32, 64)):
-        for k in (1, 2, n // 2, n - 1, n):
-            worst = max(worst, abs(os_pfa(os_threshold(p, n, k), n, k) - p) / p)
-    return worst <= 1e-12, f"worst relative residual {worst:.2e} (bound 1e-12)"
 
 
 def _check_exchangeability() -> tuple[bool, str]:
@@ -210,9 +203,10 @@ _REGISTRY: tuple[tuple[str, Callable[[], tuple[bool, str]]], ...] = (
     ("decision-scale-invariance", _check_decision_scale_invariance),
     ("order-statistic-permutation", _check_order_statistic),
     ("sum-half-compression", _check_sum_compression),
-    ("ca-round-trip", lambda: _round_trip(ca_pfa, ca_threshold, 1e-12)),
-    ("os-round-trip", _check_os_round_trip),
-    ("gm-round-trip", lambda: _round_trip(gm_pfa, gm_threshold, 1e-10)),
+    ("ca-round-trip", lambda: _round_trip(lambda n: [Sum()], 1e-12)),
+    ("os-round-trip", lambda: _round_trip(
+        lambda n: [OrderStatistic(k) for k in (1, 2, n // 2, n - 1, n)], 1e-12)),
+    ("gm-round-trip", lambda: _round_trip(lambda n: [GeometricMean()], 1e-10)),
     ("exchangeability", _check_exchangeability),
     ("minimum-consistency", _check_minimum_consistency),
     ("db-round-trip", _check_db_round_trip),

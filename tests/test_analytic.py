@@ -481,6 +481,30 @@ class TestThresholdContract:
         assert error <= 1e-12 + rounding
 
 
+class TestCountArguments:
+    """A window length or order index is an integer: numpy integers count, bools and floats not."""
+
+    @pytest.mark.parametrize("n", [32.5, 32.0, True])
+    def test_window_must_be_an_integer(self, n):
+        calls = (lambda: ca_threshold(1e-4, n), lambda: ca_pd(1.0, 0.0, n),
+                 lambda: os_threshold(1e-4, n, 1), lambda: os_pd(1.0, 0.0, n, 1),
+                 lambda: gm_threshold(1e-4, n), lambda: gm_pd(1.0, 0.0, n))
+        for call in calls:
+            with pytest.raises(ValueError, match="^window length must be an integer >= 1, got "):
+                call()
+
+    @pytest.mark.parametrize("k", [2.5, 3.0, True])
+    def test_order_index_must_be_an_integer(self, k):
+        for call in (lambda: os_threshold(1e-4, 32, k), lambda: os_pd(1.0, 0.0, 32, k)):
+            with pytest.raises(ValueError, match="^order-statistic index must be an integer >= 1"):
+                call()
+
+    def test_numpy_integers_are_counts(self):
+        assert ca_threshold(1e-4, np.int64(32)) == ca_threshold(1e-4, 32)
+        assert os_threshold(1e-4, np.int32(32), np.int64(24)) == os_threshold(1e-4, 32, 24)
+        assert gm_threshold(1e-4, np.int64(32)) == gm_threshold(1e-4, 32)
+
+
 class TestIdeal:
     def test_threshold_trivials(self):
         assert ideal_threshold(math.exp(-1.0), 1.0) == pytest.approx(1.0, rel=1e-12)

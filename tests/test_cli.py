@@ -26,7 +26,7 @@ from cfarkit.analytic import (
 )
 from cfarkit import analytic, cli
 from cfarkit.cli import main
-from cfarkit.config import RunConfig
+from cfarkit.config import DetectorRequest, RunConfig
 from cfarkit.detector import OrderStatistic
 from cfarkit.stats import db_to_linear
 
@@ -540,6 +540,14 @@ class TestConfigParsing:
         (req,) = cfg.detectors
         assert req.to_stat() == OrderStatistic(1) and req.label() == "min"
 
+    @pytest.mark.parametrize("kind, message", [
+        ("os", "^detector token 'os' needs an order-statistic index"),
+        ("ideal", "^detector 'ideal' has no clutter statistic$"),
+    ])
+    def test_request_without_a_statistic_is_refused(self, kind, message):
+        with pytest.raises(ValueError, match=message):
+            DetectorRequest(kind).to_stat()
+
     def test_interference_none_token(self):
         cfg = RunConfig.from_text(
             "detectors = ca\nscr_db = 0\ninterference_db = none, 1, 10\n", "pd-curve"
@@ -595,6 +603,11 @@ class TestImportCost:
         code = ("import sys, cfarkit, cfarkit.cli; "
                 "print([m for m in ('multiprocessing', 'concurrent.futures.process', "
                 "'cfarkit.verify') if m in sys.modules])")
+        assert self._fresh("-c", code).strip() == "[]"
+
+    def test_resolving_a_threshold_loads_no_engine(self):
+        code = ("import sys, cfarkit; cfarkit.resolve_threshold(cfarkit.Minimum(), 32, 1e-4); "
+                "print([m for m in ('cfarkit.simulation', 'cfarkit.stats') if m in sys.modules])")
         assert self._fresh("-c", code).strip() == "[]"
 
     def test_package_import_loads_no_numpy(self):

@@ -138,6 +138,32 @@ class TestDetectorSpec:
         c = DetectorSpec(OrderStatistic(31), 32, 1.0)
         assert len({a.stream_key(), b.stream_key(), c.stream_key()}) == 3
 
+    @pytest.mark.parametrize("stat, key", [
+        (Sum(), (1, 0)), (OrderStatistic(7), (2, 7)), (Minimum(), (2, 1)), (GeometricMean(), (3, 0)),
+    ], ids=["sum", "os7", "min", "gm"])
+    def test_stream_key_leads_with_the_kind_code(self, stat, key):
+        # the stream of every Monte Carlo row derives from these codes
+        assert DetectorSpec(stat, 32, 1.0).stream_key()[:2] == key
+
+    @pytest.mark.parametrize("field, args", [
+        ("window length", (32.0, 1.0)),
+        ("window length", (True, 1.0)),
+        ("guard cell count", (32, 1.0, 8.0)),
+        ("guard cell count", (32, 1.0, False)),
+    ])
+    def test_counts_must_be_integers(self, field, args):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer >= "):
+            DetectorSpec(Sum(), *args)
+
+    @pytest.mark.parametrize("k", [2.5, 3.0, True])
+    def test_order_index_must_be_an_integer(self, k):
+        with pytest.raises(ValueError, match="^order-statistic index must be an integer >= 1"):
+            OrderStatistic(k)
+
+    def test_numpy_integers_are_counts(self):
+        spec = DetectorSpec(OrderStatistic(np.int64(31)), np.int32(32), 1.0, np.int64(8))
+        assert spec.stream_key() == DetectorSpec(OrderStatistic(31), 32, 1.0, 8).stream_key()
+
 
 @pytest.mark.parametrize(
     "stat", [Sum(), OrderStatistic(5), Minimum(), GeometricMean()], ids=["sum", "os5", "min", "gm"]

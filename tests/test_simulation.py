@@ -439,7 +439,7 @@ class TestCommonRandomNumbers:
         # the cell screen makes one pass on the rows it is given, and each row
         # it keeps is evaluated once per count of its CUT-scale group
         kept, given, inside, screen_rows, count_rows = {}, [], [], [], []
-        screen, kernel = simulation._edge_screen, simulation._stat_rows
+        screen, kernel = simulation._edge_screen, type(spec.stat).rows
 
         def counted_screen(spec, boost, x, zc, j):
             given.append(len(x))
@@ -454,7 +454,7 @@ class TestCommonRandomNumbers:
             return kernel(stat, crp)
 
         monkeypatch.setattr(simulation, "_edge_screen", counted_screen)
-        monkeypatch.setattr(simulation, "_stat_rows", counted_kernel)
+        monkeypatch.setattr(type(spec.stat), "rows", counted_kernel)
         spec = replace(spec, threshold_multiplier=resolve_threshold(spec.stat, 16, 1e-3))
         batch = simulation._regulation_points(
             spec, CLUTTER, RegulationSpec(runs=BLOCK_TRIALS, boost_db=2.0), RandomStream(89)
@@ -533,7 +533,7 @@ class TestUniformScreen:
         # near 3080 dB cells and limits overflow to inf; a zero cell's log is -inf
         with np.errstate(over="ignore", divide="ignore"):
             y[:, :j] *= boost
-            return detector._stat_rows(spec.stat, y) * spec.threshold_multiplier
+            return spec.stat.rows(y) * spec.threshold_multiplier
 
     @classmethod
     def tightest_cut(cls, spec, boost, x, j):
@@ -585,9 +585,10 @@ class TestUniformScreen:
             # near 3080 dB weights, CUTs and sums overflow to inf; zero weights and cells: log -inf
             with np.errstate(over="ignore", divide="ignore"):
                 w = simulation._screen_weights(spec, boost, j, rate)
+                screen = simulation._UNIFORM_SCREENS[type(spec.stat)][1]
                 for zc in (cut * scale, tight):
                     on_cells = simulation._edge_screen(spec, boost, x, zc, j)
-                    on_uniforms = simulation._uniform_screen(spec.stat, screened, zc * rate, w, j)
+                    on_uniforms = screen(spec.stat, screened, zc * rate, w, j)
                     assert on_uniforms[on_cells].all(), (scale, j)
                 # the tightest CUTs sit on the cell screen's boundary: it keeps each finite one
                 assert np.array_equal(simulation._edge_screen(spec, boost, x, tight, j),
