@@ -230,6 +230,9 @@ class RunConfig:
             raise ValueError("scr_db: pd-curve requires a nonempty SCR grid")
         if self.interference_count < 0:
             raise ValueError(f"interference_count: must be >= 0, got {self.interference_count}")
+        if self.interference_count == 0 and any(db is not None for db in self.interference_db):
+            raise ValueError("interference_count: 0 interferers at an interference_db level;"
+                             " use interference_db = none for a clean curve")
 
     @classmethod
     def from_file(cls, path: str | Path, mode: str) -> "RunConfig":

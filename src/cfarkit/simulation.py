@@ -23,10 +23,12 @@ included, comes from the statistic kind's ``rows`` in
 integer addition, so results are identical for any worker count and any
 scheduling order.
 
-A run plans first: the public operations (and the CLI) build every batch
-of the run, split each batch into its blocks, and map all blocks through
-one process pool of at most one process per block.  With one worker, or
-a single block, the blocks run in the calling process.
+A run builds every batch first, the public operations and the CLI alike;
+one plan then yields the blocks of all batches one at a time, so its
+memory does not grow with ``runs``.  The blocks go to one process pool of
+at most one process per block, at most two per process in flight, and
+each block's counts are added as it finishes.  With one worker, or a
+single block, the blocks run in the calling process.
 
 Interfering targets and boosted clutter are both realised by scaling:
 an exponential of rate ``lambda`` multiplied by ``c > 0`` is exponential
@@ -81,6 +83,7 @@ def __getattr__(name: str):
 
 
 BLOCK_TRIALS = 1 << 16
+_SUB_BLOCK_ROWS = 1 << 13  # rows whose limits a detection block holds at once; changes no result
 _SCREEN_SLACK = 2.0**-30  # relative margin of the edge screens that round
 # beyond these a draw over the rate, or tau times it, can be subnormal, where
 # rounding is not relative: the uniform screen then keeps every row
@@ -222,9 +225,11 @@ def _batch_successes(batch: _TrialBatch) -> list[int]:
     """Successes of every point of ``batch`` on one draw of its trials.
 
     The CUT vector comes first, then the CRP chunks.  Points that all scale
-    the same count reduce each chunk to its statistics once; points that
-    differ in their counts go through :func:`_edge_successes`.  A scale
-    near the largest double lifts cells, CUTs and sums to inf, which
+    the same count reduce each chunk to its statistics once and are counted
+    on the limits of whole chunks of at least ``_SUB_BLOCK_ROWS`` rows
+    before the next chunk is drawn, so no trials-long limit is held; points
+    that differ in their counts go through :func:`_edge_successes`.  A
+    scale near the largest double lifts cells, CUTs and sums to inf, which
     compare as designed: a lifted cell never lets the CUT fire, and a
     lifted CUT fires unless its limit is lifted too.
     """
@@ -234,14 +239,19 @@ def _batch_successes(batch: _TrialBatch) -> list[int]:
     with np.errstate(over="ignore", divide="ignore"):  # a zero uniform or cell: log -inf
         if len(set(batch.counts)) > 1:
             return _edge_successes(batch, chunks, cut)
-        j = batch.counts[0]
-        limit = np.empty(batch.trials)
+        j, first, limits = batch.counts[0], 0, []  # limits: per chunk since row ``first``
+        hits = np.zeros(len(batch.cut_scales), dtype=np.int64)
         for start, u in chunks:
             x = _cells(u, batch.rate)
             x[:, :j] *= batch.scale
-            limit[start : start + len(x)] = batch.spec.stat.rows(x)
-        limit *= batch.spec.threshold_multiplier
-        return [int(np.count_nonzero(cut * c > limit)) for c in batch.cut_scales]
+            limits.append(batch.spec.stat.rows(x))
+            end = start + len(x)
+            if end - first >= _SUB_BLOCK_ROWS or end == batch.trials:
+                limit = np.concatenate(limits) * batch.spec.threshold_multiplier
+                limits.clear()
+                hits += [np.count_nonzero(cut[first:end] * c > limit) for c in batch.cut_scales]
+                first = end
+        return hits.tolist()
 
 
 def _edge_successes(batch: _TrialBatch, chunks, cut: np.ndarray) -> list[int]:
@@ -394,38 +404,55 @@ def _edge_hits(
     return np.array([np.count_nonzero(zc > _edge_limits(spec, boost, x, j)) for j in counts])
 
 
+def _block_count(batch: _TrialBatch) -> int:
+    return -(-batch.trials // BLOCK_TRIALS) if batch.cut_scales else 0
+
+
+def _blocks(batches: Sequence[_TrialBatch]):
+    """``(batch index, block)`` for every block of every batch, in order, one at a time."""
+    for index, batch in enumerate(batches):
+        for b in range(_block_count(batch)):
+            trials = min(BLOCK_TRIALS, batch.trials - b * BLOCK_TRIALS)
+            yield index, replace(batch, stream=batch.stream.substream(b), trials=trials)
+
+
 def _point_estimates(batches: Sequence[_TrialBatch], workers: int) -> list[PdEstimate]:
     """Estimate every point of every batch of a run, in order.
 
     Block ``b`` of a batch holds at most ``BLOCK_TRIALS`` of its trials and
     draws them once from ``batch.stream.substream(b)``; every point of the
     batch is evaluated on that draw, so the points of one batch (one curve)
-    share their random numbers.  The blocks of all batches are mapped
-    through one pool of at most one process per block; integer addition
-    makes each point's sum independent of the order in which workers finish.
+    share their random numbers.  The plan yields the blocks of all batches
+    one at a time.  With several workers they are submitted to one pool of
+    at most one process per block, never more than two per process at a
+    time, and each block's counts are added as it finishes, so memory does
+    not grow with ``runs``; integer addition makes each point's sum
+    independent of the order in which workers finish.
     """
     _check_count("workers", workers, 1)
-    owners, blocks = [], []
-    for index, batch in enumerate(batches):
-        n_blocks = (batch.trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS if batch.cut_scales else 0
-        for b in range(n_blocks):
-            owners.append(index)
-            blocks.append(replace(
-                batch,
-                stream=batch.stream.substream(b),
-                trials=min(BLOCK_TRIALS, batch.trials - b * BLOCK_TRIALS),
-            ))
-    processes = min(workers, len(blocks))
+    totals = [[0] * len(batch.cut_scales) for batch in batches]
+
+    def add(index: int, counts: list[int]) -> None:
+        totals[index] = [t + c for t, c in zip(totals[index], counts)]
+
+    processes = min(workers, sum(map(_block_count, batches)))
     if processes <= 1:
-        counts = list(map(_batch_successes, blocks))
+        for index, block in _blocks(batches):
+            add(index, _batch_successes(block))
     else:
+        from concurrent.futures import FIRST_COMPLETED, wait
+
         # a class assigned to the module attribute (a test's stand-in) comes first
         pool_class = globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
         with pool_class(max_workers=processes) as pool:
-            counts = list(pool.map(_batch_successes, blocks))
-    totals = [[0] * len(batch.cut_scales) for batch in batches]
-    for index, block_counts in zip(owners, counts):
-        totals[index] = [t + c for t, c in zip(totals[index], block_counts)]
+            pending = {}  # future -> batch index
+            for index, block in _blocks(batches):
+                if len(pending) == 2 * processes:
+                    for future in wait(pending, return_when=FIRST_COMPLETED).done:
+                        add(pending.pop(future), future.result())
+                pending[pool.submit(_batch_successes, block)] = index
+            for future, index in pending.items():
+                add(index, future.result())
     return [
         PdEstimate(hits, batch.trials)
         for batch, point_hits in zip(batches, totals)

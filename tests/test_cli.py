@@ -554,6 +554,21 @@ class TestConfigParsing:
         )
         assert cfg.interference_db == (None, 1.0, 10.0)
 
+    def test_zero_interferers_at_a_level_fail_with_one_line(self, tmp_path, capsys):
+        path = tmp_path / "zero.cfg"
+        path.write_text("detectors = ca\nscr_db = 0\ninterference_db = 5\ninterference_count = 0\n")
+        code, out, err = run_cli("pd-curve", "--config", str(path), capsys=capsys)
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "interference_count" in err
+        assert "interference_db = none" in err
+
+    def test_zero_interferers_on_a_clean_curve_accepted(self):
+        cfg = RunConfig.from_text(
+            "detectors = ca\nscr_db = 0\ninterference_db = none\ninterference_count = 0\n",
+            "pd-curve",
+        )
+        assert cfg.interference_count == 0
+
     def test_random_placement_accepted(self):
         cfg = RunConfig.from_text(
             "detectors = ca\nscr_db = 0\ninterference_placement = random\n", "pd-curve"
@@ -604,6 +619,17 @@ class TestImportCost:
                 "print([m for m in ('multiprocessing', 'concurrent.futures.process', "
                 "'cfarkit.verify') if m in sys.modules])")
         assert self._fresh("-c", code).strip() == "[]"
+
+    def test_one_worker_monte_carlo_loads_no_pool(self, tmp_path):
+        cfg, out = tmp_path / "mc.cfg", tmp_path / "mc.csv"
+        cfg.write_text("detectors = ca\nscr_db = 0, 10\ninterference_db = 5\nruns = 70000\n"
+                       "workers = 1\n")
+        code = ("import sys, cfarkit.cli; cfg, out = sys.argv[1:]; "
+                "code = cfarkit.cli.main(['pd-curve', '--config', cfg, '--out', out]); "
+                "print(code, [m for m in ('concurrent.futures', 'multiprocessing') "
+                "if m in sys.modules])")
+        assert self._fresh("-c", code, str(cfg), str(out)).strip() == "0 []"
+        assert out.read_text().count(",montecarlo") == 2
 
     def test_resolving_a_threshold_loads_no_engine(self):
         code = ("import sys, cfarkit; cfarkit.resolve_threshold(cfarkit.Minimum(), 32, 1e-4); "

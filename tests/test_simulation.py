@@ -5,7 +5,9 @@ oracles from the analytic module, keeping false failures out of the suite.
 """
 
 import math
+import multiprocessing
 import tracemalloc
+from concurrent.futures import Future
 from dataclasses import replace
 
 import numpy as np
@@ -515,10 +517,10 @@ class TestCommonRandomNumbers:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # trials-long vectors (the CUT, and a detection block's limits and
-        # counts; 1/N of the matrix each), one chunk of rows, and the
-        # temporaries of a chunk and of the edge screen's kept rows
-        assert peak < 0.25 * matrix, peak / matrix
+        # the trials-long CUT (1/N of the matrix), one chunk of rows, the
+        # temporaries of a chunk, and a detection block's limits and counts
+        # of one sub-block or an edge block's kept rows
+        assert peak < (0.25 if kind == "edge" else 0.15) * matrix, peak / matrix
 
 
 class TestUniformScreen:
@@ -696,6 +698,7 @@ class TestRunPlan:
                 pools_started.clear()
                 results.append(call(workers))
                 assert len(pools_started) == pools, workers
+                assert not multiprocessing.active_children(), workers  # the pool was shut down
             assert results[0] == results[1] == results[2]
 
     @pytest.mark.parametrize("workers", [0, -5])
@@ -724,8 +727,19 @@ class TestRunPlan:
         assert estimate_pd(spec, CLUTTER, None, None, self.RUNS, 8, workers=np.int64(2)) == one
         assert len(pools_started) == 1
 
-    def test_pool_never_outnumbers_blocks(self, monkeypatch):
-        sizes = []
+    @staticmethod
+    def in_process_pool(sizes: list, pending: list):
+        """A pool stand-in that runs each submitted block at once.
+
+        ``sizes`` gets each pool's ``max_workers``; ``pending``, after each
+        submit, the number of blocks submitted whose result is not yet read.
+        """
+        unread = set()
+
+        class Read(Future):
+            def result(self, timeout=None):
+                unread.discard(self)
+                return super().result(timeout)
 
         class InProcessPool:
             def __init__(self, max_workers):
@@ -737,11 +751,43 @@ class TestRunPlan:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, iterable):
-                return map(fn, iterable)
+            def submit(self, fn, *args):
+                future = Read()
+                future.set_result(fn(*args))
+                unread.add(future)
+                pending.append(len(unread))
+                return future
 
-        monkeypatch.setattr(simulation, "ProcessPoolExecutor", InProcessPool)
+        return InProcessPool
+
+    def test_pool_never_outnumbers_blocks(self, monkeypatch):
+        sizes, pending = [], []
+        monkeypatch.setattr(simulation, "ProcessPoolExecutor", self.in_process_pool(sizes, pending))
         spec = DetectorSpec(Sum(), 16, ca_threshold(1e-2, 16))
         est = estimate_pd(spec, CLUTTER, None, None, self.RUNS, 8, workers=10_000)
         assert sizes == [2]
         assert est == estimate_pd(spec, CLUTTER, None, None, self.RUNS, 8, workers=1)
+
+    def test_at_most_two_blocks_per_process_in_flight(self, monkeypatch):
+        sizes, pending = [], []
+        monkeypatch.setattr(simulation, "ProcessPoolExecutor", self.in_process_pool(sizes, pending))
+        spec = DetectorSpec(Sum(), 16, ca_threshold(1e-2, 16))
+        exp = ExperimentSpec((spec,) * 3, CLUTTER, (0.0, 10.0), 4 * BLOCK_TRIALS + 4464, 9,
+                             InterferenceSpec(1, 10.0))
+        curves = scr_sweep(exp, workers=4)
+        assert sizes == [4]
+        assert len(pending) == 15 and max(pending) == 8, pending  # 3 curves of 5 blocks
+        assert curves == scr_sweep(exp, workers=1)
+
+    def test_plan_memory_does_not_grow_with_runs(self, monkeypatch):
+        monkeypatch.setattr(simulation, "_batch_successes", lambda block: [0])
+        spec = DetectorSpec(Sum(), 16, ca_threshold(1e-2, 16))
+        peaks = []
+        for runs in (2**20, 2**30):  # 16 and 16,384 blocks
+            tracemalloc.start()
+            try:
+                estimate_pd(spec, CLUTTER, None, None, runs, 3)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 64 * 1024, peaks
