@@ -10,6 +10,11 @@ Subcommands::
 Exit codes: 0 success, 1 validation error (or out of memory), 2 solver
 failure, 3 verification failure.  Output is deterministic: a config
 rerun with the same seed is byte-identical for any worker count.
+
+A run loads only what its rows need: the Monte Carlo engine
+(:mod:`cfarkit.simulation`) is imported where Monte Carlo rows are built,
+and ``verify`` by its own subcommand, so ``threshold`` and an analytic
+``pd-curve`` load neither.
 """
 
 from __future__ import annotations
@@ -32,13 +37,6 @@ import numpy as np
 from .analytic import ThresholdSolverError, ideal_pd
 from .config import DetectorRequest, RunConfig
 from .detector import DetectorSpec, resolve_threshold
-from .simulation import (
-    InterferenceSpec,
-    RegulationSpec,
-    _detection_batch,
-    _point_estimates,
-    _regulation_points,
-)
 from .stats import ClutterModel, RandomStream, TargetContext, db_to_linear
 
 __all__ = ["main", "console_main"]
@@ -149,6 +147,8 @@ def _pd_curve_rows(cfg: RunConfig) -> list[list]:
                         [label, stat_name, k_text, scr_db, pd, 0.0, pd, pd, 0, "analytic"]
                     )
                 continue
+            from .simulation import InterferenceSpec, _detection_batch  # Monte Carlo rows only
+
             batches.append(_detection_batch(
                 spec, clutter, targets, InterferenceSpec(cfg.interference_count, inr_db),
                 cfg.runs, base.substream(d_index, *spec.stream_key(), i_index),
@@ -156,8 +156,11 @@ def _pd_curve_rows(cfg: RunConfig) -> list[list]:
             curve = [[label, stat_name, k_text, scr_db] for scr_db in cfg.scr_db]
             rows += curve
             pending += curve
-    for row, est in zip(pending, _point_estimates(batches, cfg.workers)):
-        row += [est.p_hat, est.standard_error, *est.ci(), est.runs, "montecarlo"]
+    if batches:
+        from .simulation import _point_estimates
+
+        for row, est in zip(pending, _point_estimates(batches, cfg.workers)):
+            row += [est.p_hat, est.standard_error, *est.ci(), est.runs, "montecarlo"]
     return rows
 
 
@@ -168,6 +171,8 @@ def _cmd_pd_curve(args) -> int:
 
 
 def _regulation_rows(cfg: RunConfig) -> list[list]:
+    from .simulation import RegulationSpec, _point_estimates, _regulation_points
+
     clutter = ClutterModel(cfg.clutter_rate)
     base = RandomStream(cfg.seed)
     reg = RegulationSpec(runs=cfg.runs, boost_db=cfg.boost_db, affected_counts=cfg.affected)

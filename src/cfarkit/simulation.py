@@ -28,7 +28,9 @@ one plan then yields the blocks of all batches one at a time, so its
 memory does not grow with ``runs``.  The blocks go to one process pool of
 at most one process per block, at most two per process in flight, and
 each block's counts are added as it finishes.  With one worker, or a
-single block, the blocks run in the calling process.
+single block, the blocks run in the calling process.  Only a process that
+draws loads ``numpy.random``, and no path calls ``np.unique``, which in
+numpy 2.x imports ``numpy.ma`` on first use.
 
 Interfering targets and boosted clutter are both realised by scaling:
 an exponential of rate ``lambda`` multiplied by ``c > 0`` is exponential
@@ -274,7 +276,8 @@ def _edge_successes(batch: _TrialBatch, chunks, cut: np.ndarray) -> list[int]:
     spec, boost, rate = batch.spec, batch.scale, batch.rate
     counts = np.asarray(batch.counts, dtype=np.intp)
     scales = np.asarray(batch.cut_scales)
-    groups = [np.flatnonzero(scales == scale) for scale in np.unique(scales)]
+    # not np.unique: on first use numpy 2.x imports numpy.ma for it
+    groups = [np.flatnonzero(scales == scale) for scale in sorted(set(batch.cut_scales))]
     lows = [int(counts[members].min()) for members in groups]
     weights = [_screen_weights(spec, boost, j, rate) for j in lows]
     raw_kept = [([], []) for _ in groups]  # per group: kept uniform rows and CUTs, waiting

@@ -631,6 +631,36 @@ class TestImportCost:
         assert self._fresh("-c", code, str(cfg), str(out)).strip() == "0 []"
         assert out.read_text().count(",montecarlo") == 2
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_edge_sweep_loads_no_masked_arrays(self, workers, tmp_path):
+        cfg, out = tmp_path / "edge.cfg", tmp_path / "edge.csv"
+        # both CUT-scale groups (a count above N/2 boosts the CUT), every statistic kind
+        cfg.write_text("detectors = ca, os:15, min, gm\nwindow = 16\ndesign_pfa = 1e-2\n"
+                       f"boost_db = 10\naffected = 9, 0, 16\nruns = 20000\nworkers = {workers}\n")
+        # -X importtime reports each first import, a forked pool worker's too; numpy 1.x
+        # loads numpy.ma with numpy itself, so only imports after the marker count
+        code = ("import sys, numpy; print('numpy loaded', file=sys.stderr, flush=True); "
+                "import cfarkit.cli; sys.exit(cfarkit.cli.main(sys.argv[1:]))")
+        run = subprocess.run([sys.executable, "-X", "importtime", "-c", code, "regulation",
+                              "--config", str(cfg), "--out", str(out)], env=self._env(),
+                             capture_output=True, text=True, check=True)
+        after = run.stderr.split("numpy loaded\n", 1)[1]
+        assert "cfarkit.simulation" in after and not re.search(r"\bnumpy\.ma\b", after)
+        assert len(out.read_text().splitlines()) == 1 + 4 * 3
+
+    @pytest.mark.parametrize("argv", [
+        ["threshold", "--stat", "gm", "--pfa", "1e-4"],
+        ["pd-curve", "--config", str(Path(__file__).resolve().parents[1] / "configs"
+                                     / "detection_curves.cfg")],
+    ], ids=["threshold", "analytic-pd-curve"])
+    def test_analytic_runs_load_no_engine(self, argv):
+        code = ("import io, sys, contextlib, cfarkit.cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+                "    code = cfarkit.cli.main(sys.argv[1:])\n"
+                "print(code, out.getvalue().count('montecarlo'),\n"
+                "      'cfarkit.simulation' in sys.modules)\n")
+        assert self._fresh("-c", code, *argv).split() == ["0", "0", "False"]
+
     def test_resolving_a_threshold_loads_no_engine(self):
         code = ("import sys, cfarkit; cfarkit.resolve_threshold(cfarkit.Minimum(), 32, 1e-4); "
                 "print([m for m in ('cfarkit.simulation', 'cfarkit.stats') if m in sys.modules])")

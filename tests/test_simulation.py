@@ -418,6 +418,19 @@ class TestCommonRandomNumbers:
             one = replace(reg, affected_counts=row[:1])
             assert pfa_regulation_curve(spec, CLUTTER, one, 85) == (row,)
 
+    @pytest.mark.parametrize("stat", [Sum(), OrderStatistic(31), Minimum(), GeometricMean()],
+                             ids=["sum", "os31", "min", "gm"])
+    def test_count_order_never_changes_a_count_estimate(self, stat):
+        # N = 32: counts up to 16 keep the CUT, 17 and 32 boost it; the two groups interleave
+        spec = DetectorSpec(stat, 32, resolve_threshold(stat, 32, 1e-2))
+        reg = RegulationSpec(runs=self.RUNS, boost_db=10.0, affected_counts=(0, 3, 9, 16, 17, 32))
+        ordered = dict(pfa_regulation_curve(spec, CLUTTER, reg, 86))
+        shuffled = replace(reg, affected_counts=(16, 32, 0, 9, 17, 9, 3))
+        curve = pfa_regulation_curve(spec, CLUTTER, shuffled, 86)
+        assert [j for j, _ in curve] == [16, 32, 0, 9, 17, 9, 3]
+        assert all(est == ordered[j] for j, est in curve)
+        assert len({est for _, est in curve}) > 1
+
     @pytest.mark.parametrize("spec", STATS_16, ids=STAT_IDS)
     def test_edge_screen_passes_few_trials_on(self, spec, monkeypatch):
         # design Pfa 1e-3, 2 dB edge: about 1% of trials can fire at any count
