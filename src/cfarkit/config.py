@@ -122,7 +122,7 @@ def _parse_detectors(value: str, key: str) -> tuple[DetectorRequest, ...]:
     for token in (t.strip().lower() for t in value.split(",")):
         if not token:
             continue
-        if token in ("ca", "gm", "min", "ideal"):
+        if token in _TOKENS and token != "os":  # os is written with its index
             requests.append(DetectorRequest(token))
         elif token.startswith("os:"):
             k = _parse_count(token[3:], key)
@@ -130,9 +130,8 @@ def _parse_detectors(value: str, key: str) -> tuple[DetectorRequest, ...]:
                 raise ValueError(f"{key}: order-statistic index must be >= 1, got {token!r}")
             requests.append(DetectorRequest("os", k))
         else:
-            raise ValueError(
-                f"{key}: unknown token {token!r} (expected ca, os:<k>, gm, min, ideal)"
-            )
+            expected = ", ".join("os:<k>" if t == "os" else t for t in _TOKENS)
+            raise ValueError(f"{key}: unknown token {token!r} (expected {expected})")
     if not requests:
         raise ValueError(f"{key}: at least one detector is required")
     return tuple(requests)

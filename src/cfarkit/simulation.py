@@ -10,15 +10,17 @@ numbers), so the rows of one curve are positively correlated, each row
 is still binomial, and Pd never decreases along an SCR grid.  Within a
 block the draw order is: CUT vector, then CRP matrix row by row, one
 uniform ``U`` per value, the value being ``-log1p(-U)`` over the clutter
-rate; nothing else is drawn.  A block draws its CRP one chunk of rows at
-a time, never holding the matrix.  A batch of one point is a single
-estimate.  A batch whose points scale the same number of cells (an SCR
-grid, an estimate, one edge count) computes the clutter statistic once
-per trial; a batch whose counts differ (a clutter-edge sweep) screens
-each chunk once per CUT scale on its raw uniforms, before any cell is
-computed, and computes the statistic at every count only on the trials
-the screens keep.  Every statistic computed on cells, the edge screen's
-included, comes from the statistic kind's ``rows`` in
+rate; nothing else is drawn.  A block reads both one chunk of rows at a
+time, from two cursors on its substream (the CRP cursor skips the CUT's
+uniforms first), so it holds neither the matrix nor a trials-long
+vector, and its memory does not grow with its trials.  A batch of one
+point is a single estimate.  A batch whose points scale the same number
+of cells (an SCR grid, an estimate, one edge count) computes the clutter
+statistic once per trial; a batch whose counts differ (a clutter-edge
+sweep) screens each chunk once per CUT scale on its raw uniforms, before
+any cell is computed, and computes the statistic at every count only on
+the trials the screens keep.  Every statistic computed on cells, the
+edge screen's included, comes from the statistic kind's ``rows`` in
 :mod:`cfarkit.detector`.  Per-block success counts are combined by exact
 integer addition, so results are identical for any worker count and any
 scheduling order.
@@ -209,11 +211,21 @@ class _TrialBatch:
     scale: float
 
 
-def _uniform_chunks(gen: np.random.Generator, trials: int, n: int):
-    """``(first row, rows)`` of the CRP's uniforms, drawn in order into one chunk buffer."""
+def _uniform_chunks(stream: RandomStream, trials: int, n: int, rate: float):
+    """``(first row, rows, CUTs)``: the CRP's uniforms chunk by chunk, with the rows' CUT cells.
+
+    Two cursors on ``stream``: the CRP cursor skips the ``trials`` CUT
+    uniforms (drawn into the chunk buffer), the CUT cursor draws each
+    chunk's CUTs, so every value has the bits of a CUT vector drawn first.
+    """
+    crp, cut = stream.generator(), stream.generator()
     for start, u in _row_chunks(trials, n):
-        gen.random(out=u)
-        yield start, u
+        if start == 0:
+            skip = u.reshape(-1)  # the first chunk is the whole buffer
+            for drawn in range(0, trials, len(skip)):
+                crp.random(out=skip[: trials - drawn])
+        crp.random(out=u)
+        yield start, u, _cells(cut.random(len(u)), rate)
 
 
 def _cells(u: np.ndarray, rate: float) -> np.ndarray:
@@ -226,39 +238,40 @@ def _cells(u: np.ndarray, rate: float) -> np.ndarray:
 def _batch_successes(batch: _TrialBatch) -> list[int]:
     """Successes of every point of ``batch`` on one draw of its trials.
 
-    The CUT vector comes first, then the CRP chunks.  Points that all scale
-    the same count reduce each chunk to its statistics once and are counted
-    on the limits of whole chunks of at least ``_SUB_BLOCK_ROWS`` rows
-    before the next chunk is drawn, so no trials-long limit is held; points
-    that differ in their counts go through :func:`_edge_successes`.  A
-    scale near the largest double lifts cells, CUTs and sums to inf, which
-    compare as designed: a lifted cell never lets the CUT fire, and a
-    lifted CUT fires unless its limit is lifted too.
+    The block reads its CUT chunk by chunk beside the CRP rows, from
+    :func:`_uniform_chunks`, so it holds a fixed number of chunks whatever
+    its trial count.  Points that all scale the same count reduce each
+    chunk to its statistics once and are counted on the limits and CUTs of
+    whole chunks of at least ``_SUB_BLOCK_ROWS`` rows before the next chunk
+    is drawn, so no trials-long limit or CUT is held; points that differ
+    in their counts go through :func:`_edge_successes`.  A scale near the
+    largest double lifts cells, CUTs and sums to inf, which compare as
+    designed: a lifted cell never lets the CUT fire, and a lifted CUT fires
+    unless its limit is lifted too.
     """
-    gen = batch.stream.generator()
-    cut = _cells(gen.random(batch.trials), batch.rate)
-    chunks = _uniform_chunks(gen, batch.trials, batch.spec.window_length)
+    chunks = _uniform_chunks(batch.stream, batch.trials, batch.spec.window_length, batch.rate)
     with np.errstate(over="ignore", divide="ignore"):  # a zero uniform or cell: log -inf
         if len(set(batch.counts)) > 1:
-            return _edge_successes(batch, chunks, cut)
-        j, first, limits = batch.counts[0], 0, []  # limits: per chunk since row ``first``
+            return _edge_successes(batch, chunks)
+        j, limits, cuts = batch.counts[0], [], []  # per chunk of the current sub-block
         hits = np.zeros(len(batch.cut_scales), dtype=np.int64)
-        for start, u in chunks:
+        for start, u, cut in chunks:
             x = _cells(u, batch.rate)
             x[:, :j] *= batch.scale
             limits.append(batch.spec.stat.rows(x))
-            end = start + len(x)
-            if end - first >= _SUB_BLOCK_ROWS or end == batch.trials:
-                limit = np.concatenate(limits) * batch.spec.threshold_multiplier
-                limits.clear()
-                hits += [np.count_nonzero(cut[first:end] * c > limit) for c in batch.cut_scales]
-                first = end
+            cuts.append(cut)
+            if sum(map(len, cuts)) >= _SUB_BLOCK_ROWS or start + len(x) == batch.trials:
+                limit, z = _take(limits, cuts)
+                limit *= batch.spec.threshold_multiplier
+                hits += [np.count_nonzero(z * c > limit) for c in batch.cut_scales]
         return hits.tolist()
 
 
-def _edge_successes(batch: _TrialBatch, chunks, cut: np.ndarray) -> list[int]:
-    """Successes at every point of a clutter edge, in one pass over the CRP's uniform ``chunks``.
+def _edge_successes(batch: _TrialBatch, chunks) -> list[int]:
+    """Successes at every point of a clutter edge, in one pass over the block's ``chunks``.
 
+    Each CRP chunk of :func:`_uniform_chunks` comes with its rows' CUT
+    cells, which every group scales by its CUT scale.
     Point ``p`` boosts the first ``j = counts[p]`` cells by ``B``; points
     that share a CUT scale form a group.  ``B >= 1`` and every statistic is
     nondecreasing in every cell, so a trial that fires at any count of a
@@ -284,11 +297,11 @@ def _edge_successes(batch: _TrialBatch, chunks, cut: np.ndarray) -> list[int]:
     kept = [([], []) for _ in groups]  # per group: kept cell rows and CUTs, waiting
     hits = np.zeros(len(counts), dtype=np.int64)
     screen_input, uniform_screen = _UNIFORM_SCREENS[type(spec.stat)]
-    for start, u in chunks:
-        last = start + len(u) == len(cut)
+    for start, u, cut in chunks:
+        last = start + len(u) == batch.trials
         screened = screen_input(u)
         for members, j, w, (us, uzcs), (xs, zcs) in zip(groups, lows, weights, raw_kept, kept):
-            zc = cut[start : start + len(u)] * scales[members[0]]
+            zc = cut * scales[members[0]]
             keep = uniform_screen(spec.stat, screened, zc * rate, w, j)
             us.append(u[keep])
             uzcs.append(zc[keep])

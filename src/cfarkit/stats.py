@@ -16,6 +16,15 @@ hand substreams to parallel workers without coordinating.  The simulation
 engine gives each curve (a detector's SCR grid, or a clutter-edge sweep)
 one stream and each block of trials one substream of it; every point of
 the curve reuses that block's samples.
+
+A curve's stream id hashes its detector's threshold bits
+(:meth:`cfarkit.detector.DetectorSpec.stream_key`).  An order-statistic
+threshold is solved through numpy's float64 ``log1p``, whose kernel numpy
+picks for the CPU at run time (AVX-512 or the baseline), and the two can
+differ in the last bit.  So OS Monte Carlo rows, and printed OS
+thresholds, can differ between CPUs; on one machine they are identical
+for any ``workers`` value.  The cells and the geometric mean go through
+such kernels as well, so a GM row can differ between CPUs too.
 """
 
 from __future__ import annotations

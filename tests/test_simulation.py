@@ -510,6 +510,17 @@ class TestCommonRandomNumbers:
             hits = [est.successes for est in curve.estimates]
             assert hits == sorted(hits), curve.detector.stat
 
+    @staticmethod
+    def block_peak(batch) -> int:
+        """Tracemalloc peak of one ``_batch_successes`` call on ``batch``, after a warm-up call."""
+        simulation._batch_successes(batch)  # the first call's lazy imports are not the block's
+        tracemalloc.start()
+        try:
+            simulation._batch_successes(batch)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     @pytest.mark.parametrize("kind", ["edge", "interference"])
     @pytest.mark.parametrize("spec", STATS_16, ids=STAT_IDS)
     def test_block_holds_row_chunks_not_the_crp_matrix(self, spec, kind):
@@ -523,17 +534,34 @@ class TestCommonRandomNumbers:
                 InterferenceSpec(2, 10.0), BLOCK_TRIALS, RandomStream(87),
             )
         matrix = BLOCK_TRIALS * spec.window_length * 8
-        simulation._batch_successes(batch)  # the first call's lazy imports are not the block's
-        tracemalloc.start()
-        try:
-            simulation._batch_successes(batch)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # the trials-long CUT (1/N of the matrix), one chunk of rows, the
-        # temporaries of a chunk, and a detection block's limits and counts
-        # of one sub-block or an edge block's kept rows
-        assert peak < (0.25 if kind == "edge" else 0.15) * matrix, peak / matrix
+        peak = self.block_peak(batch)
+        # one chunk of rows with its CUTs, the temporaries of a chunk, and a
+        # detection block's limits, CUTs and counts of one sub-block or an
+        # edge block's kept rows: measured at most 0.150 (edge) and 0.079
+        # (interference) at N = 16, bounded with about 0.02-0.03 to spare
+        assert peak < (0.18 if kind == "edge" else 0.10) * matrix, peak / matrix
+
+    def test_block_memory_does_not_grow_with_its_trials(self):
+        # one OS(31), N = 32 block of 2**16 and of 2**18 trials: its CUT is
+        # read chunk by chunk, so a detection block holds the same chunks and
+        # sub-block at both sizes, and an edge block only lets its screens'
+        # waits fill further, which are capped at a chunk of rows per group
+        stat = OrderStatistic(31)
+        spec = DetectorSpec(stat, 32, resolve_threshold(stat, 32, 1e-3))
+        targets = [TargetContext.from_db(scr) for scr in range(31)]
+
+        def peaks(trials):
+            detection = simulation._detection_batch(
+                spec, CLUTTER, targets, InterferenceSpec(2, 15.0), trials, RandomStream(88)
+            )
+            edge = simulation._regulation_points(
+                spec, CLUTTER, RegulationSpec(runs=trials, boost_db=2.0), RandomStream(88)
+            )
+            return self.block_peak(detection), self.block_peak(edge)
+
+        (detection, edge), (detection_4x, edge_4x) = peaks(1 << 16), peaks(1 << 18)
+        assert abs(detection_4x - detection) <= 64 << 10, (detection, detection_4x)
+        assert edge_4x - edge <= 512 << 10, (edge, edge_4x)
 
 
 class TestUniformScreen:
@@ -637,7 +665,7 @@ class TestUniformScreen:
         for pick in picks:
             rows = simulation._cells(u[pick], rate)
             assert rows.view(np.int64).tolist() == whole[pick].view(np.int64).tolist()
-        # the CUT vector goes through the same transform
+        # a chunk's CUTs go through the same transform
         assert np.array_equal(simulation._cells(u[:, 5].copy(), rate), whole[:, 5])
 
     @pytest.mark.parametrize("spec", STATS_16, ids=STAT_IDS)
@@ -647,7 +675,7 @@ class TestUniformScreen:
         rows, cells = [], simulation._cells
 
         def counted(u, rate):
-            if u.ndim == 2:  # a CRP chunk or kept rows, not the CUT vector
+            if u.ndim == 2:  # a CRP chunk or kept rows, not a chunk's CUTs
                 rows.append(len(u))
             return cells(u, rate)
 
