@@ -1,29 +1,29 @@
 """Reproducible Monte Carlo engine for detection and false-alarm estimation.
 
-The unit of work is a curve: a batch of points that share a detector,
-an interference level and a trial count, such as one SCR grid or every
+The unit of work is a curve: a batch of points that share a detector, an
+interference level and a trial count, such as one SCR grid or every
 affected count of a clutter-edge sweep.  A batch's trials are organised
 into fixed-size blocks of at most ``BLOCK_TRIALS`` trials.  Block ``b``
-draws every sample once from the substream ``stream.substream(b)``, and
-every point of the batch is counted on those samples (common random
-numbers), so the rows of one curve are positively correlated, each row
-is still binomial, and Pd never decreases along an SCR grid.  Within a
-block the draw order is: CUT vector, then CRP matrix row by row, one
-uniform ``U`` per value, the value being ``-log1p(-U)`` over the clutter
-rate; nothing else is drawn.  A block reads both one chunk of rows at a
-time, from two cursors on its substream (the CRP cursor skips the CUT's
-uniforms first), so it holds neither the matrix nor a trials-long
-vector, and its memory does not grow with its trials.  A batch of one
-point is a single estimate.  A batch whose points scale the same number
-of cells (an SCR grid, an estimate, one edge count) computes the clutter
-statistic once per trial; a batch whose counts differ (a clutter-edge
-sweep) screens each chunk once per CUT scale on its raw uniforms, before
-any cell is computed, and computes the statistic at every count only on
-the trials the screens keep.  Every statistic computed on cells, the
-edge screen's included, comes from the statistic kind's ``rows`` in
-:mod:`cfarkit.detector`.  Per-block success counts are combined by exact
-integer addition, so results are identical for any worker count and any
-scheduling order.
+draws every sample once, its CRP matrix row by row from the substream
+``stream.substream(b)`` and its CUTs in trial order from that
+substream's child ``substream(0)``, one uniform ``U`` per value, the
+value being ``-log1p(-U)`` over the clutter rate
+(:func:`cfarkit.stats._cells`); nothing else is drawn.  Every point of
+the batch is counted on those samples (common random numbers), so the
+rows of one curve are positively correlated, each row is still binomial,
+and Pd never decreases along an SCR grid.  A block reads its CRP and
+CUTs one chunk of rows at a time, so it holds neither the matrix nor a
+trials-long vector, and its memory does not grow with its trials.  A
+batch of one point is a single estimate.  A batch whose points scale the
+same number of cells (an SCR grid, an estimate, one edge count) computes
+the clutter statistic once per trial; a batch whose counts differ (a
+clutter-edge sweep) screens each chunk once per CUT scale on its raw
+uniforms, before any cell is computed, and computes the statistic at
+every count only on the trials the screens keep.  Every statistic
+computed on cells, the edge screen's included, comes from the statistic
+kind's ``rows`` in :mod:`cfarkit.detector`.  Per-block success counts are
+combined by exact integer addition, so results are identical for any
+worker count and any scheduling order.
 
 A run builds every batch first, the public operations and the CLI alike;
 one plan then yields the blocks of all batches one at a time, so its
@@ -52,16 +52,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analytic import _check_count
-from .detector import (
-    DetectorSpec,
-    GeometricMean,
-    OrderStatistic,
-    Sum,
-    _row_chunks,
-    resolve_threshold,
-)
-from .stats import ClutterModel, RandomStream, TargetContext, db_to_linear
-from .stats import _unit_exponential_of
+from .detector import DetectorSpec, GeometricMean, OrderStatistic, Sum, _row_chunks
+from .stats import ClutterModel, RandomStream, TargetContext, _cells, db_to_linear
 
 __all__ = [
     "BLOCK_TRIALS",
@@ -73,7 +65,6 @@ __all__ = [
     "estimate_pd",
     "pfa_regulation_curve",
     "scr_sweep",
-    "resolve_threshold",
 ]
 
 
@@ -214,25 +205,13 @@ class _TrialBatch:
 def _uniform_chunks(stream: RandomStream, trials: int, n: int, rate: float):
     """``(first row, rows, CUTs)``: the CRP's uniforms chunk by chunk, with the rows' CUT cells.
 
-    Two cursors on ``stream``: the CRP cursor skips the ``trials`` CUT
-    uniforms (drawn into the chunk buffer), the CUT cursor draws each
-    chunk's CUTs, so every value has the bits of a CUT vector drawn first.
+    The CRP rows come from ``stream``, the CUTs from ``stream.substream(0)``,
+    each from its stream's first uniform on, so the chunk size moves no value.
     """
-    crp, cut = stream.generator(), stream.generator()
+    crp, cut = stream.generator(), stream.substream(0).generator()
     for start, u in _row_chunks(trials, n):
-        if start == 0:
-            skip = u.reshape(-1)  # the first chunk is the whole buffer
-            for drawn in range(0, trials, len(skip)):
-                crp.random(out=skip[: trials - drawn])
         crp.random(out=u)
         yield start, u, _cells(cut.random(len(u)), rate)
-
-
-def _cells(u: np.ndarray, rate: float) -> np.ndarray:
-    """Clutter cells ``-log1p(-u) / rate`` of the C-contiguous uniforms ``u``, in place."""
-    _unit_exponential_of(u)
-    u /= rate
-    return u
 
 
 def _batch_successes(batch: _TrialBatch) -> list[int]:
@@ -561,7 +540,7 @@ def pfa_regulation_curve(
     as well.  Every count is evaluated on the same draws, so the rows are
     positively correlated; each keeps its binomial standard error.
     ``spec.threshold_multiplier`` is used as given; resolve it for the
-    design Pfa with :func:`resolve_threshold` under homogeneous clutter.
+    design Pfa with :func:`cfarkit.resolve_threshold` under homogeneous clutter.
     """
     stream = seed if isinstance(seed, RandomStream) else RandomStream(int(seed))
     batch = _regulation_points(spec, clutter, reg, stream)

@@ -14,7 +14,9 @@ one substream of numpy's SFC64 generator, seeded through
 distinct stream ids are statistically independent, so simulation code can
 hand substreams to parallel workers without coordinating.  The simulation
 engine gives each curve (a detector's SCR grid, or a clutter-edge sweep)
-one stream and each block of trials one substream of it; every point of
+one stream and each block of trials one substream of it: the block draws
+its CRP from that substream and its CUTs from the substream's child ``0``,
+every value through the one transform :func:`_cells`, and every point of
 the curve reuses that block's samples.
 
 A curve's stream id hashes its detector's threshold bits
@@ -137,18 +139,20 @@ def unit_exponential(gen: np.random.Generator, shape: int | tuple[int, ...]) -> 
     One uniform variate is consumed per sample, in order, so the mapping
     from stream position to sample is branch-free and reproducible.
     """
-    return _unit_exponential_of(gen.random(shape))
+    return _cells(gen.random(shape), 1.0)
 
 
-def _unit_exponential_of(u: np.ndarray) -> np.ndarray:
-    """Turn the C-contiguous uniforms ``u`` into unit exponentials in place, as above.
+def _cells(u: np.ndarray, rate: float) -> np.ndarray:
+    """Exponentials ``-log1p(-u) / rate`` of the C-contiguous uniforms ``u``, in place.
 
-    The transform is elementwise, so rows transformed on their own equal the
-    same rows of a transformed chunk bit for bit.
+    The one transform from uniforms to intensities, the engine's included.
+    It is elementwise, so rows transformed on their own equal the same rows
+    of a transformed chunk bit for bit.
     """
     np.negative(u, out=u)
     np.log1p(u, out=u)
     np.negative(u, out=u)
+    u /= rate
     return u
 
 
@@ -156,7 +160,7 @@ def sample_exponential(model: ClutterModel, n: int, stream: RandomStream) -> np.
     """Draw ``n`` iid exponential intensities with parameter ``model.rate``."""
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n!r}")
-    return unit_exponential(stream.generator(), n) / model.rate
+    return _cells(stream.generator().random(n), model.rate)
 
 
 def db_to_linear(x: float) -> float:

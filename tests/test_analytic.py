@@ -42,8 +42,7 @@ from cfarkit.analytic import (
 )
 from cfarkit.cli import main
 from cfarkit.config import DetectorRequest
-from cfarkit.detector import OrderStatistic
-from cfarkit.simulation import resolve_threshold
+from cfarkit.detector import OrderStatistic, resolve_threshold
 
 PFA_GRID = (1e-2, 1e-4, 1e-6)
 WINDOW_GRID = (8, 16, 32, 64)

@@ -452,8 +452,8 @@ class TestClutterRate:
         code, expected, _ = self._pd_curve(tmp_path, capsys, 1.0)
         assert code == 0
         _, rows = parse_csv(expected)
-        assert [r[4] for r in rows] == ["0.8910064697265625", "0.8744659423828125",
-                                        "0.886474609375"]
+        assert [r[4] for r in rows] == ["0.8907318115234375", "0.875335693359375",
+                                        "0.886993408203125"]
         code, out, _ = self._pd_curve(tmp_path, capsys, rate)
         assert code == 0 and out == expected
 

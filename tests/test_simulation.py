@@ -15,7 +15,14 @@ import pytest
 
 from cfarkit import detector, simulation
 from cfarkit.analytic import ca_pd, ca_threshold, gm_threshold, os_threshold
-from cfarkit.detector import DetectorSpec, GeometricMean, Minimum, OrderStatistic, Sum
+from cfarkit.detector import (
+    DetectorSpec,
+    GeometricMean,
+    Minimum,
+    OrderStatistic,
+    Sum,
+    resolve_threshold,
+)
 from cfarkit.simulation import (
     BLOCK_TRIALS,
     DetectorCurve,
@@ -25,7 +32,6 @@ from cfarkit.simulation import (
     RegulationSpec,
     estimate_pd,
     pfa_regulation_curve,
-    resolve_threshold,
     scr_sweep,
 )
 from cfarkit.stats import ClutterModel, RandomStream, TargetContext, db_to_linear
@@ -39,11 +45,13 @@ def within(est: PdEstimate, expect: float, z: float = 4.0) -> bool:
 
 
 def reference_block(spec, cut_scale, cell_scales, trials, stream, rate=1.0) -> int:
-    """Successes of one block drawn as documented: CUT, then CRP, each over ``rate``."""
+    """Successes of one block drawn as documented, each value over ``rate``.
+
+    The CUTs come from ``stream.substream(0)``, the CRP row by row from ``stream``.
+    """
     n, stat = spec.window_length, spec.stat
-    gen = stream.generator()
-    cut = -np.log1p(-gen.random(trials)) / rate * cut_scale
-    crp = -np.log1p(-gen.random((trials, n))) / rate * np.asarray(cell_scales)
+    cut = -np.log1p(-stream.substream(0).generator().random(trials)) / rate * cut_scale
+    crp = -np.log1p(-stream.generator().random((trials, n))) / rate * np.asarray(cell_scales)
     if isinstance(stat, Sum):
         g = crp[:, : n // 2].sum(axis=1) + crp[:, n // 2 :].sum(axis=1)
     elif isinstance(stat, OrderStatistic):
@@ -98,13 +106,38 @@ class TestDrawOrder:
                 spec, cut_scale, scales, self.RUNS, stream, rate=2.0
             )
 
+    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("kind", ["detection", "edge"])
+    def test_block_draws_every_uniform_once(self, kind, n, monkeypatch):
+        # one uniform per CUT and one per CRP cell, none drawn and thrown away
+        drawn = []
+        generator = RandomStream.generator
+
+        class Counted:
+            def __init__(self, gen):
+                self.gen = gen
+
+            def random(self, size=None, out=None):
+                values = self.gen.random(size, out=out)
+                drawn.append(values.size)
+                return values
+
+        monkeypatch.setattr(RandomStream, "generator", lambda stream: Counted(generator(stream)))
+        spec = DetectorSpec(Sum(), n, ca_threshold(1e-2, n))
+        if kind == "detection":
+            estimate_pd(spec, CLUTTER, TargetContext(1.0), InterferenceSpec(2, 10.0), self.RUNS, 5)
+        else:
+            reg = RegulationSpec(runs=self.RUNS, affected_counts=(0, n // 2 + 1, n))
+            pfa_regulation_curve(spec, CLUTTER, reg, 5)
+        assert sum(drawn) == self.RUNS * (n + 1)
+
 
 class TestStreamFingerprint:
     """Pinned success counts: a change to any random stream must be made on purpose.
 
-    The counts come from SFC64 streams; two unequal blocks, random
-    interference.  If a deliberate stream change moves them, record the
-    change in CHANGES.md and pin the new counts.
+    The counts come from SFC64 streams; two unequal blocks, two
+    interferers on the leading CRP cells.  If a deliberate stream change
+    moves them, record the change in CHANGES.md and pin the new counts.
     """
 
     RUNS = BLOCK_TRIALS + 4464
@@ -114,19 +147,19 @@ class TestStreamFingerprint:
         target = TargetContext.from_db(3.0)
         hits = [estimate_pd(spec, CLUTTER, target, self.INTER, self.RUNS, 2026).successes
                 for spec in STATS_16]
-        assert hits == [3182, 7339, 1787, 6792]
+        assert hits == [3171, 7270, 1820, 6752]
 
     def test_pfa_regulation_curve(self):
         reg = RegulationSpec(runs=self.RUNS, boost_db=10.0, affected_counts=(0, 8, 9, 16))
         hits = [[est.successes for _, est in pfa_regulation_curve(spec, CLUTTER, reg, 2026)]
                 for spec in STATS_16]
-        assert hits == [[701, 0, 4156, 701], [693, 0, 4044, 693], [691, 375, 3296, 691],
-                        [717, 2, 10239, 717]]
+        assert hits == [[692, 0, 4178, 692], [724, 1, 4108, 724], [698, 343, 3330, 698],
+                        [703, 1, 10320, 703]]
 
     def test_scr_sweep(self):
         exp = ExperimentSpec(STATS_16, CLUTTER, (0.0, 10.0), self.RUNS, 2026, self.INTER)
         hits = [[est.successes for est in curve.estimates] for curve in scr_sweep(exp)]
-        assert hits == [[1015, 26016], [2862, 35820], [1206, 6357], [2521, 35219]]
+        assert hits == [[1038, 26045], [2786, 36045], [1195, 6340], [2513, 35040]]
 
 
 class TestPdEstimate:

@@ -18,6 +18,7 @@ from cfarkit.stats import (
     db_to_linear,
     linear_to_db,
     sample_exponential,
+    unit_exponential,
 )
 
 
@@ -110,6 +111,17 @@ class TestSampleExponential:
     def test_positive(self):
         samples = sample_exponential(ClutterModel(3.0), 10_000, RandomStream(5))
         assert np.all(samples >= 0.0) and np.all(np.isfinite(samples))
+
+    @pytest.mark.parametrize("rate", [1.0, 2.5, 2.0**-960])
+    def test_samplers_are_the_inverse_cdf_of_their_stream(self, rate):
+        # the public samplers and the engine's cells share one transform, bit for bit
+        stream = RandomStream(44, 3)
+        u = stream.generator().random((64, 64))
+        expected = (-np.log1p(-u) / rate).view(np.int64).tolist()
+        unit = unit_exponential(stream.generator(), (64, 64)) / rate
+        assert unit.view(np.int64).tolist() == expected
+        samples = sample_exponential(ClutterModel(rate), 64 * 64, stream).reshape(64, 64)
+        assert samples.view(np.int64).tolist() == expected
 
     def test_mean_rate_one(self):
         # 4 standard errors of the mean at n = 1e6 (std of Exp(1) is 1)
