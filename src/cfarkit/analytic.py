@@ -137,9 +137,11 @@ def _os_log_prob(u: float, n: int, k: int) -> tuple[float, float]:
 
     Rohling's product ``prod_{i=N-k+1..N} i/(i + u)`` has k positive
     factors, so its log is a sum of ``-log1p(u/i)`` without cancellation.
+    ``math.fsum`` adds the terms exactly, through no numpy kernel, so the
+    result does not depend on the kernels numpy picks for the CPU.
     """
-    x = u / np.arange(n - k + 1, n + 1.0)
-    return -float(np.log1p(x).sum()), -float((x / (1.0 + x)).sum())
+    x = [u / i for i in range(n - k + 1, n + 1)]
+    return -math.fsum(map(math.log1p, x)), -math.fsum(t / (1.0 + t) for t in x)
 
 
 def _check_os_index(k: int, n: int) -> None:

@@ -27,7 +27,6 @@ overwrite ``crp``, so callers pass a matrix they own.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -180,9 +179,12 @@ class DetectorSpec:
         return self.half_window + self.guard_per_side
 
     def stream_key(self) -> tuple[int, ...]:
-        """Stable integer fingerprint for substream derivation."""
-        (tau_bits,) = struct.unpack("<Q", struct.pack("<d", self.threshold_multiplier))
-        return (*self.stat.key, self.window_length, self.guard_cells, tau_bits)
+        """The design's integers for substream derivation: kind, ``k``, N, guards.
+
+        The threshold is left out, so specs that differ only in it share
+        their draws, and a threshold's last bit never moves a stream.
+        """
+        return (*self.stat.key, self.window_length, self.guard_cells)
 
 
 _CHUNK_CELLS = 1 << 15  # cells per row chunk (256 kB, 1,024 rows at N = 32); changes no result

@@ -68,15 +68,6 @@ __all__ = [
 ]
 
 
-def __getattr__(name: str):
-    """``ProcessPoolExecutor`` on first use: a run without a pool skips ``multiprocessing``."""
-    if name != "ProcessPoolExecutor":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from concurrent.futures import ProcessPoolExecutor
-
-    return ProcessPoolExecutor
-
-
 BLOCK_TRIALS = 1 << 16
 _SUB_BLOCK_ROWS = 1 << 13  # rows whose limits a detection block holds at once; changes no result
 _SCREEN_SLACK = 2.0**-30  # relative margin of the edge screens that round
@@ -435,11 +426,10 @@ def _point_estimates(batches: Sequence[_TrialBatch], workers: int) -> list[PdEst
         for index, block in _blocks(batches):
             add(index, _batch_successes(block))
     else:
-        from concurrent.futures import FIRST_COMPLETED, wait
+        # imported here, so a run without a pool skips ``multiprocessing``
+        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
-        # a class assigned to the module attribute (a test's stand-in) comes first
-        pool_class = globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
-        with pool_class(max_workers=processes) as pool:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             pending = {}  # future -> batch index
             for index, block in _blocks(batches):
                 if len(pending) == 2 * processes:
@@ -541,6 +531,7 @@ def pfa_regulation_curve(
     positively correlated; each keeps its binomial standard error.
     ``spec.threshold_multiplier`` is used as given; resolve it for the
     design Pfa with :func:`cfarkit.resolve_threshold` under homogeneous clutter.
+    Specs that differ only in it share their draws, so no count rises with it.
     """
     stream = seed if isinstance(seed, RandomStream) else RandomStream(int(seed))
     batch = _regulation_points(spec, clutter, reg, stream)
@@ -551,8 +542,8 @@ def scr_sweep(experiment: ExperimentSpec, *, workers: int = 1) -> tuple[Detector
     """Estimate Pd curves for every detector over the experiment's SCR grid.
 
     Each detector's curve is one batch: its substream is keyed by detector
-    position and detector identity, and every grid point is counted on the
-    same draws, so the points of a curve are correlated and Pd never
+    position and design, not its threshold, and every grid point is counted
+    on the same draws, so the points of a curve are correlated and Pd never
     decreases in SCR.  Rearranging or duplicating detectors never silently
     reuses samples: duplicated specs produce statistically equal (not
     bitwise equal) curves.

@@ -19,14 +19,14 @@ its CRP from that substream and its CUTs from the substream's child ``0``,
 every value through the one transform :func:`_cells`, and every point of
 the curve reuses that block's samples.
 
-A curve's stream id hashes its detector's threshold bits
-(:meth:`cfarkit.detector.DetectorSpec.stream_key`).  An order-statistic
-threshold is solved through numpy's float64 ``log1p``, whose kernel numpy
-picks for the CPU at run time (AVX-512 or the baseline), and the two can
-differ in the last bit.  So OS Monte Carlo rows, and printed OS
-thresholds, can differ between CPUs; on one machine they are identical
-for any ``workers`` value.  The cells and the geometric mean go through
-such kernels as well, so a GM row can differ between CPUs too.
+A curve's stream id comes from its detector's design, never its
+threshold (:meth:`cfarkit.detector.DetectorSpec.stream_key`), so rows
+agree across CPUs unless a comparison lies within one ulp of a cell: the
+cells go through numpy's float64 ``log1p`` (and the geometric mean
+through ``log`` and ``exp``), whose kernels numpy picks for the CPU at
+run time (AVX-512 or the baseline), and the two can differ in the last
+bit.  A GM threshold may differ in its last bits too, which moves no
+stream.  On one machine rows are identical for any ``workers`` value.
 """
 
 from __future__ import annotations

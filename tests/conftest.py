@@ -1,8 +1,8 @@
 """Shared fixtures."""
 
-import pytest
+import concurrent.futures
 
-from cfarkit import simulation
+import pytest
 
 
 @pytest.fixture
@@ -10,10 +10,10 @@ def pools_started(monkeypatch):
     """``max_workers`` of every process pool the engine starts, in order."""
     started = []
 
-    class CountingPool(simulation.ProcessPoolExecutor):
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers=None, *args, **kwargs):
             started.append(max_workers)
             super().__init__(max_workers, *args, **kwargs)
 
-    monkeypatch.setattr(simulation, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     return started

@@ -133,17 +133,18 @@ class TestDetectorSpec:
             DetectorSpec(Sum(), 8, -0.5)
 
     def test_stream_key_distinguishes_specs(self):
-        a = DetectorSpec(Sum(), 32, 1.0)
-        b = DetectorSpec(Sum(), 32, 2.0)
-        c = DetectorSpec(OrderStatistic(31), 32, 1.0)
-        assert len({a.stream_key(), b.stream_key(), c.stream_key()}) == 3
+        specs = [DetectorSpec(Sum(), 32, 1.0), DetectorSpec(Sum(), 16, 1.0),
+                 DetectorSpec(Sum(), 32, 1.0, 2), DetectorSpec(OrderStatistic(31), 32, 1.0),
+                 DetectorSpec(OrderStatistic(30), 32, 1.0), DetectorSpec(GeometricMean(), 32, 1.0)]
+        assert len({spec.stream_key() for spec in specs}) == len(specs)
 
     @pytest.mark.parametrize("stat, key", [
         (Sum(), (1, 0)), (OrderStatistic(7), (2, 7)), (Minimum(), (2, 1)), (GeometricMean(), (3, 0)),
     ], ids=["sum", "os7", "min", "gm"])
     def test_stream_key_leads_with_the_kind_code(self, stat, key):
-        # the stream of every Monte Carlo row derives from these codes
-        assert DetectorSpec(stat, 32, 1.0).stream_key()[:2] == key
+        # the stream of every Monte Carlo row derives from these codes and the
+        # window, never the threshold: specs that differ only in tau share draws
+        assert DetectorSpec(stat, 32, 1.0, 4).stream_key() == (*key, 32, 4)
 
     @pytest.mark.parametrize("field, args", [
         ("window length", (32.0, 1.0)),

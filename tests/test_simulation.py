@@ -4,11 +4,16 @@ Statistical assertions use 4 standard-error margins against closed-form
 oracles from the analytic module, keeping false failures out of the suite.
 """
 
+import concurrent.futures
 import math
 import multiprocessing
+import os
+import subprocess
+import sys
 import tracemalloc
 from concurrent.futures import Future
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -132,12 +137,32 @@ class TestDrawOrder:
         assert sum(drawn) == self.RUNS * (n + 1)
 
 
+def _runs_avx512_kernels() -> bool:
+    """Whether numpy runs an X86_V4 (AVX-512) kernel for a float64 log or exp here."""
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:  # numpy 1.x reports no kernels
+        return False
+    info = opt_func_info(func_name="^(log1p|log|exp|expm1)$", signature="float64")
+    return any(sig["current"] == "X86_V4" for func in info.values() for sig in func.values())
+
+
+OS_GRID_SCRIPT = """
+from cfarkit.analytic import os_threshold
+for n in (8, 16, 24, 32, 64, 128):
+    for k in sorted({1, n // 4, n // 2, 3 * n // 4, n - 1, n}):
+        for pfa in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-8):
+            print(float.hex(os_threshold(pfa, n, k)))
+"""
+
+
 class TestStreamFingerprint:
     """Pinned success counts: a change to any random stream must be made on purpose.
 
     The counts come from SFC64 streams; two unequal blocks, two
     interferers on the leading CRP cells.  If a deliberate stream change
     moves them, record the change in CHANGES.md and pin the new counts.
+    The counts do not depend on the kernels numpy picks for the CPU.
     """
 
     RUNS = BLOCK_TRIALS + 4464
@@ -153,13 +178,33 @@ class TestStreamFingerprint:
         reg = RegulationSpec(runs=self.RUNS, boost_db=10.0, affected_counts=(0, 8, 9, 16))
         hits = [[est.successes for _, est in pfa_regulation_curve(spec, CLUTTER, reg, 2026)]
                 for spec in STATS_16]
-        assert hits == [[692, 0, 4178, 692], [724, 1, 4108, 724], [698, 343, 3330, 698],
-                        [703, 1, 10320, 703]]
+        assert hits == [[648, 0, 4091, 648], [730, 1, 4089, 730], [688, 399, 3355, 688],
+                        [690, 0, 10290, 690]]
 
     def test_scr_sweep(self):
         exp = ExperimentSpec(STATS_16, CLUTTER, (0.0, 10.0), self.RUNS, 2026, self.INTER)
         hits = [[est.successes for est in curve.estimates] for curve in scr_sweep(exp)]
-        assert hits == [[1038, 26045], [2786, 36045], [1195, 6340], [2513, 35040]]
+        assert hits == [[992, 25824], [2833, 35642], [1250, 6273], [2496, 35079]]
+
+    @pytest.mark.skipif(not _runs_avx512_kernels(), reason="numpy runs no X86_V4 (AVX-512) "
+                        "log or exp kernel on this CPU, so there are no other kernels to compare")
+    def test_baseline_kernels_give_the_same_results(self):
+        # a fresh process with the AVX-512 kernels disabled runs numpy's
+        # baseline ones, as on a CPU without AVX-512: the pinned counts above
+        # and 252 OS thresholds must come out alike, bit for bit
+        root = Path(__file__).parents[1]
+        env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+        env["PYTHONPATH"] = str(Path(detector.__file__).parents[1])
+        baseline = {**env, "NPY_DISABLE_CPU_FEATURES": "X86_V4"}
+        tests = [f"tests/test_simulation.py::TestStreamFingerprint::test_{name}"
+                 for name in ("estimate_pd", "pfa_regulation_curve", "scr_sweep")]
+        run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                              *tests], cwd=root, env=baseline, capture_output=True, text=True)
+        assert run.returncode == 0, run.stdout
+        grids = [subprocess.run([sys.executable, "-c", OS_GRID_SCRIPT], env=e, capture_output=True,
+                                text=True, check=True).stdout for e in (env, baseline)]
+        assert grids[0].count("\n") == 252
+        assert grids[0] == grids[1]
 
 
 class TestPdEstimate:
@@ -415,6 +460,20 @@ class TestCommonRandomNumbers:
                 assert est.successes == one, (spec.stat, scr_db)
                 assert est == estimate_pd(spec, CLUTTER, TargetContext.from_db(scr_db),
                                           inter, self.RUNS, stream)
+
+    @pytest.mark.parametrize("spec", STATS_16, ids=STAT_IDS)
+    def test_counts_never_rise_with_the_threshold(self, spec):
+        # specs that differ only in tau share their draws, so a higher tau can
+        # only turn a success into a miss, at every affected count
+        specs = [replace(spec, threshold_multiplier=spec.threshold_multiplier * (1.0 + 1e-3 * i))
+                 for i in range(5)]
+        assert len({s.stream_key() for s in specs}) == 1
+        reg = RegulationSpec(runs=self.RUNS, boost_db=10.0, affected_counts=EDGE)
+        counts = [[est.successes for _, est in pfa_regulation_curve(s, CLUTTER, reg, 83)]
+                  for s in specs]
+        for lower, higher in zip(counts, counts[1:]):
+            assert all(h <= l for l, h in zip(lower, higher)), counts
+        assert counts[-1] != counts[0], counts
 
     EDGE_CASES = [(spec, EDGE, 10.0, 1.0) for spec in STATS_16] + [
         (DetectorSpec(OrderStatistic(2), 16, os_threshold(1e-2, 16, 2)), EDGE, 10.0, 1.0),
@@ -836,7 +895,8 @@ class TestRunPlan:
 
     def test_pool_never_outnumbers_blocks(self, monkeypatch):
         sizes, pending = [], []
-        monkeypatch.setattr(simulation, "ProcessPoolExecutor", self.in_process_pool(sizes, pending))
+        pool = self.in_process_pool(sizes, pending)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
         spec = DetectorSpec(Sum(), 16, ca_threshold(1e-2, 16))
         est = estimate_pd(spec, CLUTTER, None, None, self.RUNS, 8, workers=10_000)
         assert sizes == [2]
@@ -844,7 +904,8 @@ class TestRunPlan:
 
     def test_at_most_two_blocks_per_process_in_flight(self, monkeypatch):
         sizes, pending = [], []
-        monkeypatch.setattr(simulation, "ProcessPoolExecutor", self.in_process_pool(sizes, pending))
+        pool = self.in_process_pool(sizes, pending)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
         spec = DetectorSpec(Sum(), 16, ca_threshold(1e-2, 16))
         exp = ExperimentSpec((spec,) * 3, CLUTTER, (0.0, 10.0), 4 * BLOCK_TRIALS + 4464, 9,
                              InterferenceSpec(1, 10.0))
