@@ -28,7 +28,7 @@ PROFILE_LEN = 200
 # Exponential clutter with an isolated strong target at 60 and a strong/weak
 # pair at 140/146 that sit inside each other's reference windows.
 clutter = ClutterModel(rate=1.0)
-profile = sample_exponential(clutter, PROFILE_LEN, RandomStream(2026, 1))
+profile = sample_exponential(clutter, PROFILE_LEN, RandomStream(2026, (1,)))
 profile[60] += 400.0
 profile[140] += 400.0
 profile[146] += 60.0

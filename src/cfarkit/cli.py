@@ -269,7 +269,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"cfarkit: {exc}", file=sys.stderr)
         return 1
-    except MemoryError as exc:  # a grid or a run plan too large to hold
+    except MemoryError as exc:  # a grid, or its rows, too large to hold
         # drop the frames of this error and of those it arose from: they hold what filled memory
         exc.__traceback__ = exc.__context__ = exc.__cause__ = None
         print(f"cfarkit: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)

@@ -509,7 +509,7 @@ def estimate_pd(
     order.
     """
     _check_count("runs", runs, 1)
-    stream = seed if isinstance(seed, RandomStream) else RandomStream(int(seed))
+    stream = seed if isinstance(seed, RandomStream) else RandomStream(seed)
     batch = _detection_batch(spec, clutter, [target], interference, runs, stream)
     return _point_estimates([batch], workers)[0]
 
@@ -533,7 +533,7 @@ def pfa_regulation_curve(
     design Pfa with :func:`cfarkit.resolve_threshold` under homogeneous clutter.
     Specs that differ only in it share their draws, so no count rises with it.
     """
-    stream = seed if isinstance(seed, RandomStream) else RandomStream(int(seed))
+    stream = seed if isinstance(seed, RandomStream) else RandomStream(seed)
     batch = _regulation_points(spec, clutter, reg, stream)
     return tuple(zip(batch.counts, _point_estimates([batch], workers)))
 

@@ -8,18 +8,18 @@ the cell-under-test intensity into an exponential with rate
 linear scale.  All power ratios use the 10*log10 dB convention.
 
 Randomness is organised around :class:`RandomStream`, a value type naming
-one substream of numpy's SFC64 generator, seeded through
-``SeedSequence(seed, spawn_key=(stream_id,))``.  Identical
-``(seed, stream_id)`` pairs reproduce identical samples on every platform;
-distinct stream ids are statistically independent, so simulation code can
-hand substreams to parallel workers without coordinating.  The simulation
-engine gives each curve (a detector's SCR grid, or a clutter-edge sweep)
-one stream and each block of trials one substream of it: the block draws
-its CRP from that substream and its CUTs from the substream's child ``0``,
-every value through the one transform :func:`_cells`, and every point of
-the curve reuses that block's samples.
+one stream of numpy's SFC64 generator by a seed and a key path, seeded
+through ``SeedSequence(seed, spawn_key=key)``.  Identical ``(seed, key)``
+pairs reproduce identical samples on every platform; distinct keys are
+statistically independent, so simulation code can hand streams to
+parallel workers without coordinating.  The simulation engine gives each
+curve (a detector's SCR grid, or a clutter-edge sweep) one key and each
+block of trials that key followed by its index: the block draws its CRP
+from that stream and its CUTs from the stream's child ``0``, every value
+through the one transform :func:`_cells`, and every point of the curve
+reuses that block's samples.
 
-A curve's stream id comes from its detector's design, never its
+A curve's key comes from its detector's design, never its
 threshold (:meth:`cfarkit.detector.DetectorSpec.stream_key`), so rows
 agree across CPUs unless a comparison lies within one ulp of a cell: the
 cells go through numpy's float64 ``log1p`` (and the geometric mean
@@ -45,24 +45,6 @@ __all__ = [
     "db_to_linear",
     "linear_to_db",
 ]
-
-_MASK64 = (1 << 64) - 1
-
-
-def _splitmix64(x: int) -> int:
-    """One SplitMix64 avalanche round (Steele, Lea & Flood mixing constants)."""
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return x ^ (x >> 31)
-
-
-def _mix_key(*parts: int) -> int:
-    """Hash an integer tuple into a 64-bit substream id (order sensitive)."""
-    h = 0xCBF29CE484222325
-    for p in parts:
-        h = _splitmix64(h ^ (p & _MASK64))
-    return h
 
 
 @dataclass(frozen=True)
@@ -107,29 +89,29 @@ class TargetContext:
 
 @dataclass(frozen=True)
 class RandomStream:
-    """Named substream of the SFC64 generator.
+    """One SFC64 stream, named by a seed and a key path: ``SeedSequence(seed, spawn_key=key)``.
 
-    ``(seed, stream_id)`` fully determines the sample sequence.  Use
-    :meth:`substream` to derive statistically independent child streams
-    from integer keys; derivation is pure 64-bit arithmetic, so it does
-    not depend on platform word size or hash randomisation.
+    :meth:`substream` appends to the key.  The seed is an integer in ``[0, 2**64)``, each key
+    word one in ``[0, 2**32)``: ``SeedSequence`` splits a larger word, so ``(2**32,)`` would
+    name ``(0, 1)``.  A bool or a float is refused.  ``RandomStream(seed)`` has the key ``(0,)``.
     """
 
     seed: int
-    stream_id: int = 0
+    key: tuple[int, ...] = (0,)
 
     def __post_init__(self) -> None:
-        for name, value in (("seed", self.seed), ("stream_id", self.stream_id)):
-            if not (0 <= int(value) < (1 << 64)):
-                raise ValueError(f"{name} must be a 64-bit unsigned integer, got {value!r}")
+        for name, value, bits in (("seed", self.seed, 64), *(("key", k, 32) for k in self.key)):
+            integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            if not (integer and 0 <= value < 1 << bits):
+                raise ValueError(f"{name} must be an integer in [0, 2**{bits}), got {value!r}")
 
     def substream(self, *key: int) -> "RandomStream":
-        """Child stream keyed by one or more integers (order matters)."""
-        return RandomStream(self.seed, _mix_key(self.stream_id, *key))
+        """The child stream whose key is this one's followed by ``key``."""
+        return RandomStream(self.seed, self.key + key)
 
     def generator(self) -> np.random.Generator:
         """Fresh SFC64 generator, seeded from this stream's ``SeedSequence``."""
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
+        ss = np.random.SeedSequence(self.seed, spawn_key=self.key)
         return np.random.Generator(np.random.SFC64(ss))
 
 

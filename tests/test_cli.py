@@ -452,8 +452,8 @@ class TestClutterRate:
         code, expected, _ = self._pd_curve(tmp_path, capsys, 1.0)
         assert code == 0
         _, rows = parse_csv(expected)
-        assert [r[4] for r in rows] == ["0.890045166015625", "0.8766021728515625",
-                                        "0.88653564453125"]
+        assert [r[4] for r in rows] == ["0.8904571533203125", "0.877166748046875",
+                                        "0.8853607177734375"]
         code, out, _ = self._pd_curve(tmp_path, capsys, rate)
         assert code == 0 and out == expected
 

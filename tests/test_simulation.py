@@ -104,7 +104,7 @@ class TestDrawOrder:
         inter = InterferenceSpec(2, 10.0)  # on CRP cells 0 and 1
         scales = (11.0,) * 2 + (1.0,) * 14
         clutter = ClutterModel(2.0)
-        stream = RandomStream(17, 3)
+        stream = RandomStream(17, (3,))
         for tgt, cut_scale in ((None, 1.0), (target, 1.0 + target.scr_linear)):
             est = estimate_pd(spec, clutter, tgt, inter, self.RUNS, stream)
             assert est.successes == reference_successes(
@@ -172,19 +172,19 @@ class TestStreamFingerprint:
         target = TargetContext.from_db(3.0)
         hits = [estimate_pd(spec, CLUTTER, target, self.INTER, self.RUNS, 2026).successes
                 for spec in STATS_16]
-        assert hits == [3171, 7270, 1820, 6752]
+        assert hits == [3208, 7289, 1876, 6822]
 
     def test_pfa_regulation_curve(self):
         reg = RegulationSpec(runs=self.RUNS, boost_db=10.0, affected_counts=(0, 8, 9, 16))
         hits = [[est.successes for _, est in pfa_regulation_curve(spec, CLUTTER, reg, 2026)]
                 for spec in STATS_16]
-        assert hits == [[648, 0, 4091, 648], [730, 1, 4089, 730], [688, 399, 3355, 688],
-                        [690, 0, 10290, 690]]
+        assert hits == [[699, 0, 4131, 699], [686, 0, 4032, 686], [710, 397, 3286, 710],
+                        [713, 1, 10108, 713]]
 
     def test_scr_sweep(self):
         exp = ExperimentSpec(STATS_16, CLUTTER, (0.0, 10.0), self.RUNS, 2026, self.INTER)
         hits = [[est.successes for est in curve.estimates] for curve in scr_sweep(exp)]
-        assert hits == [[992, 25824], [2833, 35642], [1250, 6273], [2496, 35079]]
+        assert hits == [[1040, 25970], [2838, 35782], [1188, 6184], [2463, 35039]]
 
     @pytest.mark.skipif(not _runs_avx512_kernels(), reason="numpy runs no X86_V4 (AVX-512) "
                         "log or exp kernel on this CPU, so there are no other kernels to compare")
@@ -301,6 +301,32 @@ class TestEstimatePd:
             with pytest.raises(ValueError, match="^interferer count must be an integer"):
                 InterferenceSpec(count, 10.0)
         assert InterferenceSpec(np.int64(2), 10.0).count == 2
+
+
+class TestSeed:
+    """A seed is an integer: a float or a bool is refused, never truncated."""
+
+    SPEC = DetectorSpec(Sum(), 16, ca_threshold(1e-2, 16))
+    RUNS = 1000
+    OPERATIONS = {
+        "estimate_pd": lambda seed: estimate_pd(TestSeed.SPEC, CLUTTER, None, None,
+                                                TestSeed.RUNS, seed),
+        "pfa_regulation_curve": lambda seed: pfa_regulation_curve(
+            TestSeed.SPEC, CLUTTER, RegulationSpec(runs=TestSeed.RUNS), seed),
+        "scr_sweep": lambda seed: scr_sweep(
+            ExperimentSpec((TestSeed.SPEC,), CLUTTER, (0.0, 10.0), TestSeed.RUNS, seed)),
+    }
+
+    @pytest.mark.parametrize("operation", OPERATIONS)
+    @pytest.mark.parametrize("seed", [2.7, 3.0, True, np.float64(2.0), np.True_, -1, 1 << 64])
+    def test_bad_seeds_are_refused(self, operation, seed):
+        with pytest.raises(ValueError, match=r"^seed must be an integer in \[0, 2\*\*64\), got "):
+            self.OPERATIONS[operation](seed)
+
+    @pytest.mark.parametrize("operation", OPERATIONS)
+    def test_numpy_integer_seeds_are_their_ints(self, operation):
+        run = self.OPERATIONS[operation]
+        assert run(np.uint64(3)) == run(np.int32(3)) == run(3)
 
 
 class TestCalibration:
@@ -693,7 +719,7 @@ class TestUniformScreen:
                 "osN": OrderStatistic(n), "gm": GeometricMean()}[name]
         spec = DetectorSpec(stat, n, SCREEN_TAUS[case] if case in SCREEN_TAUS
                             else resolve_threshold(stat, n, 1e-2))
-        gen = RandomStream(93, n).generator()
+        gen = RandomStream(93, (n,)).generator()
         cut = simulation._cells(gen.random(self.ROWS), rate)
         u = gen.random((self.ROWS, n))
         # rows where u and -log1p(-u) nearly agree, where the limits near 1, and both

@@ -79,14 +79,14 @@ class TestRates:
 class TestRandomStream:
     def test_same_stream_same_samples(self):
         model = ClutterModel(1.0)
-        a = sample_exponential(model, 64, RandomStream(1234, 7))
-        b = sample_exponential(model, 64, RandomStream(1234, 7))
+        a = sample_exponential(model, 64, RandomStream(1234, (7,)))
+        b = sample_exponential(model, 64, RandomStream(1234, (7,)))
         np.testing.assert_array_equal(a, b)
 
     def test_distinct_streams_differ(self):
         model = ClutterModel(1.0)
-        a = sample_exponential(model, 64, RandomStream(1234, 7))
-        b = sample_exponential(model, 64, RandomStream(1234, 8))
+        a = sample_exponential(model, 64, RandomStream(1234, (7,)))
+        b = sample_exponential(model, 64, RandomStream(1234, (8,)))
         assert not np.array_equal(a, b)
 
     def test_substream_is_deterministic_and_keyed(self):
@@ -99,8 +99,52 @@ class TestRandomStream:
         with pytest.raises(ValueError):
             RandomStream(-1)
         with pytest.raises(ValueError):
-            RandomStream(0, 1 << 64)
-        RandomStream((1 << 64) - 1, 0)  # boundary is valid
+            RandomStream(1 << 64)
+        RandomStream((1 << 64) - 1)  # boundary is valid
+
+    @pytest.mark.parametrize("seed, key", [(0, (0,)), (2026, (3,)), ((1 << 64) - 1, (7,)),
+                                           (5, (1, 2, 3)), (9, ())])
+    def test_generator_is_sfc64_of_the_seed_sequence_of_the_key(self, seed, key):
+        ss = np.random.SeedSequence(seed, spawn_key=key)
+        expected = np.random.Generator(np.random.SFC64(ss)).random(8)
+        assert RandomStream(seed, key).generator().random(8).tolist() == expected.tolist()
+
+    def test_substream_appends_to_the_key(self):
+        base = RandomStream(99)
+        assert base.key == (0,)
+        assert base.substream(3, 4) == RandomStream(99, (0, 3, 4))
+        assert base.substream(3).substream(4) == base.substream(3, 4)
+        assert base.substream() == base
+
+    def test_keys_that_split_into_words_are_refused(self):
+        # SeedSequence splits a word of 2**32 or more into 32-bit words, so
+        # (2**32,) would draw what (0, 1) draws
+        words = [np.random.SeedSequence(1, spawn_key=key).generate_state(4).tolist()
+                 for key in ((1 << 32,), (0, 1))]
+        assert words[0] == words[1]
+        RandomStream(1, ((1 << 32) - 1,))  # boundary is valid
+        message = r"^key must be an integer in \[0, 2\*\*32\), got 4294967296$"
+        with pytest.raises(ValueError, match=message):
+            RandomStream(1).substream(1 << 32)
+
+    @pytest.mark.parametrize("key", [-1, 1 << 32, 1 << 64, True, np.True_, 1.0, 2.5,
+                                     np.float64(3)])
+    def test_bad_keys_are_refused(self, key):
+        with pytest.raises(ValueError, match="^key must be an integer in "):
+            RandomStream(5).substream(key)
+        with pytest.raises(ValueError, match="^key must be an integer in "):
+            RandomStream(5, (1, key))
+
+    @pytest.mark.parametrize("seed", [True, False, 1.0, 2.7, np.float64(3), np.True_])
+    def test_float_and_bool_seeds_are_refused(self, seed):
+        with pytest.raises(ValueError, match=r"^seed must be an integer in \[0, 2\*\*64\), "):
+            RandomStream(seed)
+
+    def test_numpy_integers_are_taken_as_ints(self):
+        stream = RandomStream(np.uint64(7), (np.int64(3),)).substream(np.int32(2))
+        assert stream == RandomStream(7, (3, 2))
+        draws = [s.generator().random(4).tolist() for s in (stream, RandomStream(7, (3, 2)))]
+        assert draws[0] == draws[1]
 
 
 class TestSampleExponential:
@@ -115,7 +159,7 @@ class TestSampleExponential:
     @pytest.mark.parametrize("rate", [1.0, 2.5, 2.0**-960])
     def test_samplers_are_the_inverse_cdf_of_their_stream(self, rate):
         # the public samplers and the engine's cells share one transform, bit for bit
-        stream = RandomStream(44, 3)
+        stream = RandomStream(44, (3,))
         u = stream.generator().random((64, 64))
         expected = (-np.log1p(-u) / rate).view(np.int64).tolist()
         unit = unit_exponential(stream.generator(), (64, 64)) / rate
