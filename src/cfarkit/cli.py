@@ -37,7 +37,7 @@ import numpy as np
 from .analytic import ThresholdSolverError, ideal_pd
 from .config import DetectorRequest, RunConfig
 from .detector import DetectorSpec, resolve_threshold
-from .stats import ClutterModel, RandomStream, TargetContext, db_to_linear
+from .stats import RandomStream, TargetContext, db_to_linear
 
 __all__ = ["main", "console_main"]
 
@@ -123,7 +123,6 @@ def _cmd_threshold(args) -> int:
 
 
 def _pd_curve_rows(cfg: RunConfig) -> list[list]:
-    clutter = ClutterModel(cfg.clutter_rate)
     base = RandomStream(cfg.seed)
     targets = [TargetContext.from_db(scr_db) for scr_db in cfg.scr_db]
     rows: list[list] = []
@@ -150,7 +149,7 @@ def _pd_curve_rows(cfg: RunConfig) -> list[list]:
             from .simulation import InterferenceSpec, _detection_batch  # Monte Carlo rows only
 
             batches.append(_detection_batch(
-                spec, clutter, targets, InterferenceSpec(cfg.interference_count, inr_db),
+                spec, targets, InterferenceSpec(cfg.interference_count, inr_db),
                 cfg.runs, base.substream(d_index, *spec.stream_key(), i_index),
             ))
             curve = [[label, stat_name, k_text, scr_db] for scr_db in cfg.scr_db]
@@ -173,7 +172,6 @@ def _cmd_pd_curve(args) -> int:
 def _regulation_rows(cfg: RunConfig) -> list[list]:
     from .simulation import RegulationSpec, _point_estimates, _regulation_points
 
-    clutter = ClutterModel(cfg.clutter_rate)
     base = RandomStream(cfg.seed)
     reg = RegulationSpec(runs=cfg.runs, boost_db=cfg.boost_db, affected_counts=cfg.affected)
     rows: list[list] = []
@@ -182,7 +180,7 @@ def _regulation_rows(cfg: RunConfig) -> list[list]:
         if req.kind == "ideal":
             raise ValueError("detector 'ideal': regulation applies to adaptive detectors only")
         spec = _resolve(req, cfg)
-        batch = _regulation_points(spec, clutter, reg, base.substream(d_index))
+        batch = _regulation_points(spec, reg, base.substream(d_index))
         rows += [[req.label(), j] for j in batch.counts]
         batches.append(batch)
     for row, est in zip(rows, _point_estimates(batches, cfg.workers)):

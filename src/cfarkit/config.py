@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .detector import GeometricMean, Minimum, OrderStatistic, StatKind, Sum
+from .stats import ClutterModel
 
 __all__ = ["DetectorRequest", "RunConfig", "parse_key_values"]
 
@@ -217,8 +218,7 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.mode not in _MODES:
             raise ValueError(f"experiment mode must be one of {_MODES}, got {self.mode!r}")
-        if self.clutter_rate <= 0:
-            raise ValueError(f"lambda: clutter rate must be > 0, got {self.clutter_rate}")
+        ClutterModel(self.clutter_rate)  # the one check of lambda, on which no row depends
         if not (0.0 < self.design_pfa <= 1.0):
             raise ValueError(f"design_pfa: must lie in (0, 1], got {self.design_pfa}")
         if self.runs < 1:

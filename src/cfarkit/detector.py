@@ -182,9 +182,13 @@ class DetectorSpec:
         """The design's integers for substream derivation: kind, ``k``, N, guards.
 
         The threshold is left out, so specs that differ only in it share
-        their draws, and a threshold's last bit never moves a stream.
+        their draws, and a threshold's last bit never moves a stream.  Each
+        word is below ``2**32``, as a stream key word must be (``k <= N``).
         """
-        return (*self.stat.key, self.window_length, self.guard_cells)
+        n, guard = self.window_length, self.guard_cells
+        if max(n, guard) >= 1 << 32:
+            raise ValueError(f"window length {n} and guard cell count {guard} must be < 2**32")
+        return (*self.stat.key, n, guard)
 
 
 _CHUNK_CELLS = 1 << 15  # cells per row chunk (256 kB, 1,024 rows at N = 32); changes no result

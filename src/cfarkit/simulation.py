@@ -7,16 +7,16 @@ into fixed-size blocks of at most ``BLOCK_TRIALS`` trials.  Block ``b``
 draws every sample once, its CRP matrix row by row from the substream
 ``stream.substream(b)`` and its CUTs in trial order from that
 substream's child ``substream(0)``, one uniform ``U`` per value, the
-value being ``-log1p(-U)`` over the clutter rate
-(:func:`cfarkit.stats._cells`); nothing else is drawn.  Every point of
-the batch is counted on those samples (common random numbers), so the
-rows of one curve are positively correlated, each row is still binomial,
-and Pd never decreases along an SCR grid.  A block reads its CRP and
-CUTs one chunk of rows at a time, so it holds neither the matrix nor a
-trials-long vector, and its memory does not grow with its trials.  A
-batch of one point is a single estimate.  A batch whose points scale the
-same number of cells (an SCR grid, an estimate, one edge count) computes
-the clutter statistic once per trial; a batch whose counts differ (a
+unit-rate value being ``-log1p(-U)`` (:func:`cfarkit.stats._cells`);
+nothing else is drawn.  Every point of the batch is counted on those
+samples (common random numbers), so the rows of one curve are positively
+correlated, each row is still binomial, and Pd never decreases along an
+SCR grid.  A block reads its CRP and CUTs one chunk of rows at a time,
+so it holds neither the matrix nor a trials-long vector, and its memory
+does not grow with its trials.  A batch of one point is a single
+estimate.  A batch whose points scale the same number of cells (an SCR
+grid, an estimate, one edge count) computes the clutter statistic once
+per trial; a batch whose counts differ (a
 clutter-edge sweep) screens each chunk once per CUT scale on its raw
 uniforms, before any cell is computed, and computes the statistic at
 every count only on the trials the screens keep.  Every statistic
@@ -34,13 +34,14 @@ single block, the blocks run in the calling process.  Only a process that
 draws loads ``numpy.random``, and no path calls ``np.unique``, which in
 numpy 2.x imports ``numpy.ma`` on first use.
 
-Interfering targets and boosted clutter are both realised by scaling:
-an exponential of rate ``lambda`` multiplied by ``c > 0`` is exponential
-of rate ``lambda/c``, so an interferer of linear INR ``I`` scales its cell
-by ``1 + I`` and a clutter-power step of ``x`` dB scales affected cells by
-``10**(x/10)``.  Every statistic is symmetric in the CRP cells, so where
-the scaled cells sit is immaterial: both scale the leading cells, and a
-point is a CUT scale and a count of leading cells.
+The clutter rate cancels from each comparison ``z*c > tau*g(x)`` of a
+scale-invariant ``g``, so the engine draws unit-rate clutter.  Interferers
+and boosted clutter are both realised by scaling: a unit exponential
+times ``c > 0`` is exponential of rate ``1/c``, so an interferer of linear
+INR ``I`` scales its cell by ``1 + I`` and a clutter-power step of ``x``
+dB scales affected cells by ``10**(x/10)``.  Every statistic is symmetric
+in the CRP cells, so where the scaled cells sit is immaterial: both scale
+the leading cells, and a point is a CUT scale and a count of leading cells.
 """
 
 from __future__ import annotations
@@ -71,9 +72,8 @@ __all__ = [
 BLOCK_TRIALS = 1 << 16
 _SUB_BLOCK_ROWS = 1 << 13  # rows whose limits a detection block holds at once; changes no result
 _SCREEN_SLACK = 2.0**-30  # relative margin of the edge screens that round
-# beyond these a draw over the rate, or tau times it, can be subnormal, where
-# rounding is not relative: the uniform screen then keeps every row
-_SCREEN_MAX_RATE = 2.0**969
+# below this tau times a draw can be subnormal, where rounding is not relative:
+# the uniform screen then keeps every row
 _SCREEN_MIN_TAU = 2.0**-1000
 
 
@@ -155,6 +155,7 @@ class ExperimentSpec:
         if len(self.scr_grid_db) == 0:
             raise ValueError("SCR grid must be nonempty")
         _check_count("runs", self.runs, 1)
+        RandomStream(self.seed)  # the seed check: an integer in [0, 2**64)
 
 
 @dataclass(frozen=True)
@@ -187,13 +188,12 @@ class _TrialBatch:
     stream: RandomStream
     trials: int
     spec: DetectorSpec
-    rate: float
     cut_scales: tuple[float, ...]
     counts: tuple[int, ...]
     scale: float
 
 
-def _uniform_chunks(stream: RandomStream, trials: int, n: int, rate: float):
+def _uniform_chunks(stream: RandomStream, trials: int, n: int):
     """``(first row, rows, CUTs)``: the CRP's uniforms chunk by chunk, with the rows' CUT cells.
 
     The CRP rows come from ``stream``, the CUTs from ``stream.substream(0)``,
@@ -202,7 +202,7 @@ def _uniform_chunks(stream: RandomStream, trials: int, n: int, rate: float):
     crp, cut = stream.generator(), stream.substream(0).generator()
     for start, u in _row_chunks(trials, n):
         crp.random(out=u)
-        yield start, u, _cells(cut.random(len(u)), rate)
+        yield start, u, _cells(cut.random(len(u)))
 
 
 def _batch_successes(batch: _TrialBatch) -> list[int]:
@@ -219,14 +219,14 @@ def _batch_successes(batch: _TrialBatch) -> list[int]:
     designed: a lifted cell never lets the CUT fire, and a lifted CUT fires
     unless its limit is lifted too.
     """
-    chunks = _uniform_chunks(batch.stream, batch.trials, batch.spec.window_length, batch.rate)
+    chunks = _uniform_chunks(batch.stream, batch.trials, batch.spec.window_length)
     with np.errstate(over="ignore", divide="ignore"):  # a zero uniform or cell: log -inf
         if len(set(batch.counts)) > 1:
             return _edge_successes(batch, chunks)
         j, limits, cuts = batch.counts[0], [], []  # per chunk of the current sub-block
         hits = np.zeros(len(batch.cut_scales), dtype=np.int64)
         for start, u, cut in chunks:
-            x = _cells(u, batch.rate)
+            x = _cells(u)
             x[:, :j] *= batch.scale
             limits.append(batch.spec.stat.rows(x))
             cuts.append(cut)
@@ -256,13 +256,13 @@ def _edge_successes(batch: _TrialBatch, chunks) -> list[int]:
     bound a block's memory and give each call many rows.  Each screen
     keeps every trial that fires at some count, so none changes.
     """
-    spec, boost, rate = batch.spec, batch.scale, batch.rate
+    spec, boost = batch.spec, batch.scale
     counts = np.asarray(batch.counts, dtype=np.intp)
     scales = np.asarray(batch.cut_scales)
     # not np.unique: on first use numpy 2.x imports numpy.ma for it
     groups = [np.flatnonzero(scales == scale) for scale in sorted(set(batch.cut_scales))]
     lows = [int(counts[members].min()) for members in groups]
-    weights = [_screen_weights(spec, boost, j, rate) for j in lows]
+    weights = [_screen_weights(spec, boost, j) for j in lows]
     raw_kept = [([], []) for _ in groups]  # per group: kept uniform rows and CUTs, waiting
     kept = [([], []) for _ in groups]  # per group: kept cell rows and CUTs, waiting
     hits = np.zeros(len(counts), dtype=np.int64)
@@ -272,13 +272,13 @@ def _edge_successes(batch: _TrialBatch, chunks) -> list[int]:
         screened = screen_input(u)
         for members, j, w, (us, uzcs), (xs, zcs) in zip(groups, lows, weights, raw_kept, kept):
             zc = cut * scales[members[0]]
-            keep = uniform_screen(spec.stat, screened, zc * rate, w, j)
+            keep = uniform_screen(spec.stat, screened, zc, w, j)
             us.append(u[keep])
             uzcs.append(zc[keep])
             if not (last or sum(map(len, uzcs)) >= len(u) // 4):
                 continue
             x, zc = _take(us, uzcs)
-            keep = _edge_screen(spec, boost, _cells(x, rate), zc, j)
+            keep = _edge_screen(spec, boost, _cells(x), zc, j)
             xs.append(x[keep])
             zcs.append(zc[keep])
             if last or sum(map(len, zcs)) >= len(u):
@@ -294,18 +294,18 @@ def _take(rows: list, cuts: list) -> tuple[np.ndarray, np.ndarray]:
     return taken
 
 
-def _screen_weights(spec: DetectorSpec, boost: float, j: int, rate: float) -> np.ndarray:
+def _screen_weights(spec: DetectorSpec, boost: float, j: int) -> np.ndarray:
     """Per-cell weights of the uniform screens with the first ``j`` cells boosted.
 
     ``tau`` less twice ``_SCREEN_SLACK`` (the cell screen's own slack, then
     rounding), times ``boost`` on the first ``j`` cells, at most the largest
     double over ``N``, so that a row's weighted sum stays finite and a zero
     uniform never meets an infinite weight.  Lower weights keep more rows:
-    outside the normal range of ``rate`` and ``tau`` they are all zero, and
-    every row with a positive CUT is kept, as at ``tau = 0``.
+    below the normal range of ``tau`` they are all zero, and every row with
+    a positive CUT is kept, as at ``tau = 0``.
     """
     n, tau = spec.window_length, spec.threshold_multiplier
-    if rate > _SCREEN_MAX_RATE or 0.0 < tau < _SCREEN_MIN_TAU:
+    if 0.0 < tau < _SCREEN_MIN_TAU:
         return np.zeros(n)
     w = np.full(n, tau * (1.0 - 2.0 * _SCREEN_SLACK))
     w[:j] *= boost
@@ -313,11 +313,11 @@ def _screen_weights(spec: DetectorSpec, boost: float, j: int, rate: float) -> np
 
 
 def _order_screen(
-    stat: OrderStatistic, u: np.ndarray, zl: np.ndarray, w: np.ndarray, j: int
+    stat: OrderStatistic, u: np.ndarray, zc: np.ndarray, w: np.ndarray, j: int
 ) -> np.ndarray:
     n = len(w)
     with np.errstate(all="ignore"):  # a zero weight: limit 1, or NaN (none) for a zero CUT
-        limits = np.stack([np.expm1(zl / -w[0]), np.expm1(zl / -w[-1])], axis=1)
+        limits = np.stack([np.expm1(zc / -w[0]), np.expm1(zc / -w[-1])], axis=1)
     limits *= -(1.0 + 2.0 * _SCREEN_SLACK)
     below = u <= np.repeat(limits, [j, n - j], axis=1)
     # einsum sums rows faster than count_nonzero, and fastest in uint8, which holds counts to 255
@@ -327,19 +327,19 @@ def _order_screen(
 
 # The uniform screens, per kind: what a chunk's uniforms ``u`` become once
 # per chunk (their row log sums for the geometric mean), and the screen
-# ``(stat, that, zl, w, j)`` of the rows that may fire, a superset of those
-# :func:`_edge_screen` keeps.  ``zl`` is the rows' scaled CUT times the
-# clutter rate, ``w`` comes from :func:`_screen_weights`.  :func:`_edge_screen`
-# keeps a row whose ``zc`` exceeds ``tau`` times its statistic less
-# ``_SCREEN_SLACK``; ``w`` is lower by a second slack, for the rounding of
-# both screens.  A cell ``-log1p(-u) / rate`` enters the test as
-# ``w * -log1p(-u) < zl``.  The sum is nondecreasing in every cell and
-# ``-log1p(-u) >= u``, so it tests ``sum(w * u) < zl``.  The geometric mean
-# fires when ``sum(log(w * -log1p(-u))) < N * log(zl)``, and
+# ``(stat, that, zc, w, j)`` of the rows that may fire, a superset of those
+# :func:`_edge_screen` keeps.  ``zc`` is the rows' scaled CUT, ``w`` comes
+# from :func:`_screen_weights`.  :func:`_edge_screen` keeps a row whose
+# ``zc`` exceeds ``tau`` times its statistic less ``_SCREEN_SLACK``; ``w`` is
+# lower by a second slack, for the rounding of both screens.  A unit-rate
+# cell ``-log1p(-u)`` enters the test as ``w * -log1p(-u) < zc``.  The sum
+# is nondecreasing in every cell and ``-log1p(-u) >= u``, so it tests
+# ``sum(w * u) < zc``.  The geometric mean fires when
+# ``sum(log(w * -log1p(-u))) < N * log(zc)``, and
 # ``log(-log1p(-u)) >= log(u)``, so it tests
-# ``sum(log(u)) + sum(log(w)) < N * log(zl)``.  An order statistic ``k``
+# ``sum(log(u)) + sum(log(w)) < N * log(zc)``.  An order statistic ``k``
 # counts the cells below the CUT, and a cell is below exactly when
-# ``u < -expm1(-zl / w)``: the row's two limits (boosted and not) become
+# ``u < -expm1(-zc / w)``: the row's two limits (boosted and not) become
 # uniforms instead of its ``N`` uniforms becoming cells.  The limits are
 # raised by twice ``_SCREEN_SLACK``, an absolute margin near 1.  In the
 # normal range every rounding here is relative and far inside the slack;
@@ -348,11 +348,11 @@ def _order_screen(
 # the ``N``-term log sums (a few ulps of at most ``750 * N``) stays far
 # inside it.  A zero uniform has log sum ``-inf`` and is kept.
 _UNIFORM_SCREENS = {
-    Sum: (lambda u: u, lambda stat, u, zl, w, j: np.einsum("ij,j->i", u, w) < zl),
+    Sum: (lambda u: u, lambda stat, u, zc, w, j: np.einsum("ij,j->i", u, w) < zc),
     OrderStatistic: (lambda u: u, _order_screen),
     GeometricMean: (
         lambda u: np.log(u).sum(axis=1),
-        lambda stat, log_sums, zl, w, j: log_sums + np.log(w).sum() < len(w) * np.log(zl),
+        lambda stat, log_sums, zc, w, j: log_sums + np.log(w).sum() < len(w) * np.log(zc),
     ),
 }
 
@@ -447,7 +447,6 @@ def _point_estimates(batches: Sequence[_TrialBatch], workers: int) -> list[PdEst
 
 def _detection_batch(
     spec: DetectorSpec,
-    clutter: ClutterModel,
     targets: Sequence[TargetContext | None],
     interference: InterferenceSpec | None,
     trials: int,
@@ -462,13 +461,11 @@ def _detection_batch(
         raise ValueError(f"{count} interferers exceed the {spec.window_length}-cell CRP")
     scale = 1.0 + db_to_linear(interference.inr_db) if count else 1.0
     cut_scales = tuple(1.0 if target is None else 1.0 + target.scr_linear for target in targets)
-    return _TrialBatch(
-        stream, trials, spec, clutter.rate, cut_scales, (count,) * len(cut_scales), scale
-    )
+    return _TrialBatch(stream, trials, spec, cut_scales, (count,) * len(cut_scales), scale)
 
 
 def _regulation_points(
-    spec: DetectorSpec, clutter: ClutterModel, reg: RegulationSpec, stream: RandomStream
+    spec: DetectorSpec, reg: RegulationSpec, stream: RandomStream
 ) -> _TrialBatch:
     """A clutter-edge sweep as one batch, with a point per affected count ``j``.
 
@@ -482,8 +479,7 @@ def _regulation_points(
     boost = db_to_linear(reg.boost_db)
     cut_scales = tuple(boost if j > n // 2 else 1.0 for j in counts)
     return _TrialBatch(
-        stream.substream(*spec.stream_key()), reg.runs, spec, clutter.rate, cut_scales,
-        tuple(counts), boost,
+        stream.substream(*spec.stream_key()), reg.runs, spec, cut_scales, tuple(counts), boost
     )
 
 
@@ -506,11 +502,11 @@ def estimate_pd(
 
     Trials are partitioned into fixed blocks with one substream per block;
     the estimate is identical for any ``workers`` value and any execution
-    order.
+    order, and for any ``clutter`` rate, which cancels from every comparison.
     """
     _check_count("runs", runs, 1)
     stream = seed if isinstance(seed, RandomStream) else RandomStream(seed)
-    batch = _detection_batch(spec, clutter, [target], interference, runs, stream)
+    batch = _detection_batch(spec, [target], interference, runs, stream)
     return _point_estimates([batch], workers)[0]
 
 
@@ -532,9 +528,10 @@ def pfa_regulation_curve(
     ``spec.threshold_multiplier`` is used as given; resolve it for the
     design Pfa with :func:`cfarkit.resolve_threshold` under homogeneous clutter.
     Specs that differ only in it share their draws, so no count rises with it.
+    The ``clutter`` rate cancels from every comparison and changes no count.
     """
     stream = seed if isinstance(seed, RandomStream) else RandomStream(seed)
-    batch = _regulation_points(spec, clutter, reg, stream)
+    batch = _regulation_points(spec, reg, stream)
     return tuple(zip(batch.counts, _point_estimates([batch], workers)))
 
 
@@ -553,7 +550,7 @@ def scr_sweep(experiment: ExperimentSpec, *, workers: int = 1) -> tuple[Detector
     targets = [TargetContext.from_db(scr_db) for scr_db in grid]
     batches = [
         _detection_batch(
-            det, experiment.clutter, targets, experiment.interference, experiment.runs,
+            det, targets, experiment.interference, experiment.runs,
             base.substream(d_index, *det.stream_key()),
         )
         for d_index, det in enumerate(experiment.detectors)

@@ -16,8 +16,8 @@ parallel workers without coordinating.  The simulation engine gives each
 curve (a detector's SCR grid, or a clutter-edge sweep) one key and each
 block of trials that key followed by its index: the block draws its CRP
 from that stream and its CUTs from the stream's child ``0``, every value
-through the one transform :func:`_cells`, and every point of the curve
-reuses that block's samples.
+through the one unit-rate transform :func:`_cells` (``lambda`` cancels from
+every CFAR comparison), and every point of the curve reuses those samples.
 
 A curve's key comes from its detector's design, never its
 threshold (:meth:`cfarkit.detector.DetectorSpec.stream_key`), so rows
@@ -59,17 +59,16 @@ class ClutterModel:
         as the mean square of the intensity, is ``2/rate**2``.
     """
 
-    # The engine divides unit draws (< 2**6) by the rate; from 2**-960 up every
-    # such cell, and any sum of fewer than 2**58 of them, stays finite.
+    # sample_exponential divides unit draws (< 2**6) by the rate; from 2**-960 up
+    # every such draw, and any sum of fewer than 2**58 of them, stays finite.
     MIN_RATE = 2.0**-960
 
     rate: float
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.rate) and self.rate >= self.MIN_RATE):
-            raise ValueError(
-                f"clutter rate must be finite and >= 2**-960 (about 1.03e-289), got {self.rate!r}"
-            )
+            raise ValueError(f"clutter rate lambda must be finite and >= 2**-960"
+                             f" (about 1.03e-289), got {self.rate!r}")
 
 
 @dataclass(frozen=True)
@@ -121,11 +120,11 @@ def unit_exponential(gen: np.random.Generator, shape: int | tuple[int, ...]) -> 
     One uniform variate is consumed per sample, in order, so the mapping
     from stream position to sample is branch-free and reproducible.
     """
-    return _cells(gen.random(shape), 1.0)
+    return _cells(gen.random(shape))
 
 
-def _cells(u: np.ndarray, rate: float) -> np.ndarray:
-    """Exponentials ``-log1p(-u) / rate`` of the C-contiguous uniforms ``u``, in place.
+def _cells(u: np.ndarray) -> np.ndarray:
+    """Unit-rate exponentials ``-log1p(-u)`` of the C-contiguous uniforms ``u``, in place.
 
     The one transform from uniforms to intensities, the engine's included.
     It is elementwise, so rows transformed on their own equal the same rows
@@ -134,7 +133,6 @@ def _cells(u: np.ndarray, rate: float) -> np.ndarray:
     np.negative(u, out=u)
     np.log1p(u, out=u)
     np.negative(u, out=u)
-    u /= rate
     return u
 
 
@@ -142,7 +140,7 @@ def sample_exponential(model: ClutterModel, n: int, stream: RandomStream) -> np.
     """Draw ``n`` iid exponential intensities with parameter ``model.rate``."""
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n!r}")
-    return _cells(stream.generator().random(n), model.rate)
+    return _cells(stream.generator().random(n)) / model.rate
 
 
 def db_to_linear(x: float) -> float:

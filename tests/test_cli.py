@@ -354,6 +354,29 @@ class TestDecibelOverflow:
         assert err.count("\n") == 1 and "5000" in err and "dB" in err
 
 
+class TestStreamKeyBound:
+    """A window or guard count of ``2**32`` or more cannot key a Monte Carlo stream."""
+
+    @pytest.mark.parametrize("command, lines, named", [
+        ("pd-curve", "window = 4294967296\nguard = 0\nscr_db = 10\ninterference_db = 10\n",
+         "window length 4294967296"),
+        ("regulation", "window = 16\nguard = 4294967296\n", "guard cell count 4294967296"),
+    ], ids=["window", "guard"])
+    def test_monte_carlo_run_fails_with_one_line(self, command, lines, named, tmp_path, capsys):
+        path = tmp_path / "huge.cfg"
+        path.write_text(f"detectors = ca\nruns = 100\n{lines}")
+        code, out, err = run_cli(command, "--config", str(path), capsys=capsys)
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and named in err and "2**32" in err
+
+    def test_analytic_rows_need_no_stream(self, tmp_path, capsys):
+        path = tmp_path / "huge.cfg"
+        path.write_text("detectors = ca\nwindow = 4294967296\nguard = 0\nscr_db = 10\n")
+        code, out, err = run_cli("pd-curve", "--config", str(path), capsys=capsys)
+        assert code == 0 and err == ""
+        assert [row[-1] for row in parse_csv(out)[1]] == ["analytic"]
+
+
 class TestExtremeScales:
     """Scales near the largest double lift cells and CUTs to inf without a warning."""
 
@@ -427,13 +450,15 @@ class TestOutOfMemory:
 class TestClutterRate:
     """The CFAR rows do not depend on lambda; a lambda whose draws overflow is refused."""
 
-    CONFIG = ("detectors = ca, os:31, gm\nscr_db = 20\ninterference_db = 5\n"
-              "runs = 65536\nseed = 3\n")
-
-    def _pd_curve(self, tmp_path, capsys, rate):
-        path = tmp_path / "rate.cfg"
-        path.write_text(f"{self.CONFIG}lambda = {rate!r}\n")
-        return run_cli("pd-curve", "--config", str(path), capsys=capsys)
+    CONFIG = "detectors = ca, os:31, gm\nruns = 65536\nseed = 3\n"
+    # per command: its config lines, and the column and values its rows print at lambda = 1
+    COMMANDS = {
+        "pd-curve": ("scr_db = 20\ninterference_db = 5\n", 4,
+                     ["0.8904571533203125", "0.877166748046875", "0.8853607177734375"]),
+        "regulation": ("design_pfa = 1e-2\nboost_db = 3\naffected = 0, 17\n", 2,
+                       ["0.0100250244140625", "0.0277557373046875", "0.010528564453125",
+                        "0.0233154296875", "0.010101318359375", "0.032745361328125"]),
+    }
 
     @pytest.mark.parametrize("command, lines", [
         ("pd-curve", "scr_db = 20\ninterference_db = 5\n"),
@@ -447,15 +472,21 @@ class TestClutterRate:
         assert code == 1 and out == ""
         assert err.count("\n") == 1 and "2**-960" in err
 
-    @pytest.mark.parametrize("rate", [2.0**-960, 1.7e308])
-    def test_extreme_accepted_rates_print_the_unit_rate_rows(self, rate, tmp_path, capsys):
-        code, expected, _ = self._pd_curve(tmp_path, capsys, 1.0)
-        assert code == 0
-        _, rows = parse_csv(expected)
-        assert [r[4] for r in rows] == ["0.8904571533203125", "0.877166748046875",
-                                        "0.8853607177734375"]
-        code, out, _ = self._pd_curve(tmp_path, capsys, rate)
-        assert code == 0 and out == expected
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("rate", [2.0**-960, 0.1, 2.5, 1.7e308])
+    def test_extreme_accepted_rates_print_the_unit_rate_rows(
+        self, command, rate, tmp_path, capsys
+    ):
+        lines, column, unit_rate_rows = self.COMMANDS[command]
+        path = tmp_path / "rate.cfg"
+        outputs = []
+        for lam in (1.0, rate):
+            path.write_text(f"{self.CONFIG}{lines}lambda = {lam!r}\n")
+            code, out, _ = run_cli(command, "--config", str(path), capsys=capsys)
+            assert code == 0
+            outputs.append(out)
+        assert [row[column] for row in parse_csv(outputs[0])[1]] == unit_rate_rows
+        assert outputs[1] == outputs[0]
 
 
 class TestVerifyCommand:

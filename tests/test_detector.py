@@ -161,6 +161,17 @@ class TestDetectorSpec:
         with pytest.raises(ValueError, match="^order-statistic index must be an integer >= 1"):
             OrderStatistic(k)
 
+    @pytest.mark.parametrize("n, guard, named", [
+        (1 << 32, 0, "window length 4294967296"), (32, 1 << 32, "guard cell count 4294967296"),
+    ], ids=["window", "guard"])
+    def test_stream_key_refuses_counts_past_a_key_word(self, n, guard, named):
+        spec = DetectorSpec(Sum(), n, 1.0, guard)  # a design, and its exact rows, need no key
+        with pytest.raises(ValueError, match=r"must be < 2\*\*32$") as refused:
+            spec.stream_key()
+        assert named in str(refused.value)
+        largest = (1 << 32) - 2  # the largest even counts a key word holds
+        assert DetectorSpec(Sum(), largest, 1.0, largest).stream_key() == (1, 0, largest, largest)
+
     def test_numpy_integers_are_counts(self):
         spec = DetectorSpec(OrderStatistic(np.int64(31)), np.int32(32), 1.0, np.int64(8))
         assert spec.stream_key() == DetectorSpec(OrderStatistic(31), 32, 1.0, 8).stream_key()

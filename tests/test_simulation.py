@@ -89,7 +89,7 @@ SCREEN_CASES = {  # where the edge screen could go wrong: (counts, boost dB, clu
     "one-count-groups": ((7, 7, 12), 10.0, 1.0),  # smallest count = largest in each group
     "3050dB": (EDGE, 3050.0, 1.0),  # boosted cells near float overflow
     "rate2.5": (EDGE, 10.0, 2.5),
-    "rate2**1000": (EDGE, 10.0, 2.0**1000),  # draws over the rate can be subnormal
+    "rate2**1000": (EDGE, 10.0, 2.0**1000),  # a reference's draws over it can be subnormal
     "tau2**-1010": (EDGE, 10.0, 1.0),  # tau times a draw can be subnormal
 }
 SCREEN_TAUS = {"pfa1": 0.0, "tau2**-1010": 2.0**-1010}  # cases with the threshold set by hand
@@ -322,6 +322,12 @@ class TestSeed:
     def test_bad_seeds_are_refused(self, operation, seed):
         with pytest.raises(ValueError, match=r"^seed must be an integer in \[0, 2\*\*64\), got "):
             self.OPERATIONS[operation](seed)
+
+    @pytest.mark.parametrize("seed", [2.7, 3.0, True, np.float64(2.0), np.True_, -1, 1 << 64])
+    def test_experiment_spec_refuses_a_bad_seed_when_built(self, seed):
+        with pytest.raises(ValueError, match=r"^seed must be an integer in \[0, 2\*\*64\), got "):
+            ExperimentSpec((self.SPEC,), CLUTTER, (0.0,), self.RUNS, seed)
+        assert ExperimentSpec((self.SPEC,), CLUTTER, (0.0,), self.RUNS, np.uint64(3)).seed == 3
 
     @pytest.mark.parametrize("operation", OPERATIONS)
     def test_numpy_integer_seeds_are_their_ints(self, operation):
@@ -561,7 +567,7 @@ class TestCommonRandomNumbers:
         monkeypatch.setattr(simulation, "_edge_hits", counted)
         spec = replace(spec, threshold_multiplier=resolve_threshold(spec.stat, 16, 1e-3))
         batch = simulation._regulation_points(
-            spec, CLUTTER, RegulationSpec(runs=BLOCK_TRIALS, boost_db=2.0), RandomStream(89)
+            spec, RegulationSpec(runs=BLOCK_TRIALS, boost_db=2.0), RandomStream(89)
         )
         assert len(simulation._batch_successes(batch)) == 17
         assert 0 < sum(rows) < 0.05 * BLOCK_TRIALS, sum(rows) / BLOCK_TRIALS
@@ -590,7 +596,7 @@ class TestCommonRandomNumbers:
         monkeypatch.setattr(type(spec.stat), "rows", counted_kernel)
         spec = replace(spec, threshold_multiplier=resolve_threshold(spec.stat, 16, 1e-3))
         batch = simulation._regulation_points(
-            spec, CLUTTER, RegulationSpec(runs=BLOCK_TRIALS, boost_db=2.0), RandomStream(89)
+            spec, RegulationSpec(runs=BLOCK_TRIALS, boost_db=2.0), RandomStream(89)
         )
         assert len(simulation._batch_successes(batch)) == 17
         # counts 0..8 keep the CUT unboosted (screened at j = 0), 9..16 boost it (j = 9)
@@ -644,11 +650,11 @@ class TestCommonRandomNumbers:
     def test_block_holds_row_chunks_not_the_crp_matrix(self, spec, kind):
         if kind == "edge":
             batch = simulation._regulation_points(
-                spec, CLUTTER, RegulationSpec(runs=BLOCK_TRIALS, boost_db=10.0), RandomStream(87)
+                spec, RegulationSpec(runs=BLOCK_TRIALS, boost_db=10.0), RandomStream(87)
             )
         else:
             batch = simulation._detection_batch(
-                spec, CLUTTER, [None, TargetContext.from_db(10.0)],
+                spec, [None, TargetContext.from_db(10.0)],
                 InterferenceSpec(2, 10.0), BLOCK_TRIALS, RandomStream(87),
             )
         matrix = BLOCK_TRIALS * spec.window_length * 8
@@ -670,10 +676,10 @@ class TestCommonRandomNumbers:
 
         def peaks(trials):
             detection = simulation._detection_batch(
-                spec, CLUTTER, targets, InterferenceSpec(2, 15.0), trials, RandomStream(88)
+                spec, targets, InterferenceSpec(2, 15.0), trials, RandomStream(88)
             )
             edge = simulation._regulation_points(
-                spec, CLUTTER, RegulationSpec(runs=trials, boost_db=2.0), RandomStream(88)
+                spec, RegulationSpec(runs=trials, boost_db=2.0), RandomStream(88)
             )
             return self.block_peak(detection), self.block_peak(edge)
 
@@ -703,8 +709,11 @@ class TestUniformScreen:
         limit *= 1.0 - simulation._SCREEN_SLACK
         return np.nextafter(limit, np.inf)
 
-    SCREENS = {**SCREEN_CASES,  # and weights that overflow, where the clamp decides
-               "3080dB": (EDGE, 3080.0, 1.0), "3080dB-rate2.5": (EDGE, 3080.0, 2.5)}
+    # the cases on unit-rate cells, as the engine draws them: a rate cancels from every
+    # comparison, so "rate2**1000" would repeat "rate2.5"; and weights that overflow,
+    # where the clamp decides
+    SCREENS = {**{case: (counts, boost_db) for case, (counts, boost_db, _) in SCREEN_CASES.items()
+                  if case != "rate2**1000"}, "3080dB": (EDGE, 3080.0)}
     CASES = [
         (case, n, name)
         for case in SCREENS for n in (16, 32) for name in ("sum", "os13", "min", "osN", "gm")
@@ -712,15 +721,15 @@ class TestUniformScreen:
     CASE_IDS = [f"{c}-N{n}-{s}" for c, n, s in CASES]
 
     def adversarial(self, case, n, name):
-        """The case's detector, boost and rate, its CUTs, uniforms and cells, and its
+        """The case's detector and boost, its CUTs, uniforms and cells, and its
         counts grouped by CUT scale, as the edge pass groups them."""
-        counts, boost_db, rate = self.SCREENS[case]
+        counts, boost_db = self.SCREENS[case]
         stat = {"sum": Sum(), "os13": OrderStatistic(13), "min": Minimum(),
                 "osN": OrderStatistic(n), "gm": GeometricMean()}[name]
         spec = DetectorSpec(stat, n, SCREEN_TAUS[case] if case in SCREEN_TAUS
                             else resolve_threshold(stat, n, 1e-2))
         gen = RandomStream(93, (n,)).generator()
-        cut = simulation._cells(gen.random(self.ROWS), rate)
+        cut = simulation._cells(gen.random(self.ROWS))
         u = gen.random((self.ROWS, n))
         # rows where u and -log1p(-u) nearly agree, where the limits near 1, and both
         u[:64] *= 2.0**-36
@@ -728,16 +737,16 @@ class TestUniformScreen:
         u[128:192, ::2] *= 2.0**-36
         u[192:256, ::2] = 1.0 - u[192:256, ::2] * 2.0**-36
         u[256], u[257] = 0.0, np.nextafter(1.0, 0.0)
-        x = simulation._cells(u.copy(), rate)
+        x = simulation._cells(u.copy())
         boost = db_to_linear(boost_db)
         groups = {}
         for j in (j * n // 16 for j in counts):
             groups.setdefault(boost if j > n // 2 else 1.0, []).append(j)
-        return spec, boost, rate, cut, u, x, groups
+        return spec, boost, cut, u, x, groups
 
     @pytest.mark.parametrize("case, n, name", CASES, ids=CASE_IDS)
     def test_keeps_every_row_the_cell_screen_keeps(self, case, n, name):
-        spec, boost, rate, cut, u, x, groups = self.adversarial(case, n, name)
+        spec, boost, cut, u, x, groups = self.adversarial(case, n, name)
         with np.errstate(divide="ignore"):  # the zero row's log sum is -inf
             screened = np.log(u).sum(axis=1) if name == "gm" else u
         for scale, group in groups.items():
@@ -745,11 +754,11 @@ class TestUniformScreen:
             tight = self.tightest_cut(spec, boost, x, j)
             # near 3080 dB weights, CUTs and sums overflow to inf; zero weights and cells: log -inf
             with np.errstate(over="ignore", divide="ignore"):
-                w = simulation._screen_weights(spec, boost, j, rate)
+                w = simulation._screen_weights(spec, boost, j)
                 screen = simulation._UNIFORM_SCREENS[type(spec.stat)][1]
                 for zc in (cut * scale, tight):
                     on_cells = simulation._edge_screen(spec, boost, x, zc, j)
-                    on_uniforms = screen(spec.stat, screened, zc * rate, w, j)
+                    on_uniforms = screen(spec.stat, screened, zc, w, j)
                     assert on_uniforms[on_cells].all(), (scale, j)
                 # the tightest CUTs sit on the cell screen's boundary: it keeps each finite one
                 assert np.array_equal(simulation._edge_screen(spec, boost, x, tight, j),
@@ -759,7 +768,7 @@ class TestUniformScreen:
     def test_screen_at_the_lowest_count_keeps_every_row_that_fires_in_its_group(
         self, case, n, name
     ):
-        spec, boost, rate, cut, u, x, groups = self.adversarial(case, n, name)
+        spec, boost, cut, u, x, groups = self.adversarial(case, n, name)
         for scale, group in groups.items():
             # the CUTs of the case, and per count of the group the smallest CUTs that fire there
             firing = [np.nextafter(self.limits(spec, boost, x, j), np.inf) for j in group]
@@ -772,19 +781,18 @@ class TestUniformScreen:
                     hits = simulation._edge_hits(spec, boost, x[dropped], zc[dropped], group)
                     assert hits.tolist() == [0] * len(group), (scale, group, i)
 
-    @pytest.mark.parametrize("rate", [1.0, 2.5, 2.0**-960])
-    def test_kept_rows_turn_into_the_cells_of_the_whole_chunk(self, rate):
+    def test_kept_rows_turn_into_the_cells_of_the_whole_chunk(self):
         gen = RandomStream(94).generator()
         u = gen.random((1024, 32))
         u[0, :3] = 0.0, np.nextafter(1.0, 0.0), 2.0**-53  # the extreme uniforms
-        whole = simulation._cells(u.copy(), rate)
+        whole = simulation._cells(u.copy())
         picks = [gen.random(len(u)) < p for p in (0.001, 0.02, 0.3, 0.9)]
         picks += [np.arange(len(u)) == 0, np.arange(len(u)) < 7, np.ones(len(u), dtype=bool)]
         for pick in picks:
-            rows = simulation._cells(u[pick], rate)
+            rows = simulation._cells(u[pick])
             assert rows.view(np.int64).tolist() == whole[pick].view(np.int64).tolist()
         # a chunk's CUTs go through the same transform
-        assert np.array_equal(simulation._cells(u[:, 5].copy(), rate), whole[:, 5])
+        assert np.array_equal(simulation._cells(u[:, 5].copy()), whole[:, 5])
 
     @pytest.mark.parametrize("spec", STATS_16, ids=STAT_IDS)
     def test_few_rows_reach_the_transform(self, spec, monkeypatch):
@@ -792,15 +800,15 @@ class TestUniformScreen:
         # CRP rows on to the transform
         rows, cells = [], simulation._cells
 
-        def counted(u, rate):
+        def counted(u):
             if u.ndim == 2:  # a CRP chunk or kept rows, not a chunk's CUTs
                 rows.append(len(u))
-            return cells(u, rate)
+            return cells(u)
 
         monkeypatch.setattr(simulation, "_cells", counted)
         spec = replace(spec, threshold_multiplier=resolve_threshold(spec.stat, 16, 1e-3))
         batch = simulation._regulation_points(
-            spec, CLUTTER, RegulationSpec(runs=BLOCK_TRIALS, boost_db=2.0), RandomStream(89)
+            spec, RegulationSpec(runs=BLOCK_TRIALS, boost_db=2.0), RandomStream(89)
         )
         assert len(simulation._batch_successes(batch)) == 17
         assert 0 < sum(rows) < 0.25 * BLOCK_TRIALS, sum(rows) / BLOCK_TRIALS
