@@ -472,8 +472,11 @@ class TestClutterRate:
         assert code == 1 and out == ""
         assert err.count("\n") == 1 and "2**-960" in err
 
-    @pytest.mark.parametrize("command", COMMANDS)
-    @pytest.mark.parametrize("rate", [2.0**-960, 0.1, 2.5, 1.7e308])
+    # a pd-curve case's id is its rate alone
+    @pytest.mark.parametrize("command, rate", [
+        pytest.param(command, rate, id=repr(rate) if command == "pd-curve" else f"{rate!r}-{command}")
+        for command in COMMANDS for rate in (2.0**-960, 0.1, 2.5, 1.7e308)
+    ])
     def test_extreme_accepted_rates_print_the_unit_rate_rows(
         self, command, rate, tmp_path, capsys
     ):

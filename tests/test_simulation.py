@@ -39,7 +39,9 @@ from cfarkit.simulation import (
     pfa_regulation_curve,
     scr_sweep,
 )
-from cfarkit.stats import ClutterModel, RandomStream, TargetContext, db_to_linear
+from cfarkit.stats import (
+    ClutterModel, RandomStream, TargetContext, db_to_linear, sample_exponential
+)
 
 CLUTTER = ClutterModel(1.0)
 
@@ -709,11 +711,8 @@ class TestUniformScreen:
         limit *= 1.0 - simulation._SCREEN_SLACK
         return np.nextafter(limit, np.inf)
 
-    # the cases on unit-rate cells, as the engine draws them: a rate cancels from every
-    # comparison, so "rate2**1000" would repeat "rate2.5"; and weights that overflow,
-    # where the clamp decides
-    SCREENS = {**{case: (counts, boost_db) for case, (counts, boost_db, _) in SCREEN_CASES.items()
-                  if case != "rate2**1000"}, "3080dB": (EDGE, 3080.0)}
+    SCREENS = {**SCREEN_CASES,  # and weights that overflow, where the clamp decides
+               "3080dB": (EDGE, 3080.0, 1.0), "3080dB-rate2.5": (EDGE, 3080.0, 2.5)}
     CASES = [
         (case, n, name)
         for case in SCREENS for n in (16, 32) for name in ("sum", "os13", "min", "osN", "gm")
@@ -721,9 +720,10 @@ class TestUniformScreen:
     CASE_IDS = [f"{c}-N{n}-{s}" for c, n, s in CASES]
 
     def adversarial(self, case, n, name):
-        """The case's detector and boost, its CUTs, uniforms and cells, and its
-        counts grouped by CUT scale, as the edge pass groups them."""
-        counts, boost_db = self.SCREENS[case]
+        """The case's detector, boost and rate, its unit-rate CUTs, uniforms and cells,
+        as the engine draws them at any rate, and its counts grouped by CUT scale, as
+        the edge pass groups them."""
+        counts, boost_db, rate = self.SCREENS[case]
         stat = {"sum": Sum(), "os13": OrderStatistic(13), "min": Minimum(),
                 "osN": OrderStatistic(n), "gm": GeometricMean()}[name]
         spec = DetectorSpec(stat, n, SCREEN_TAUS[case] if case in SCREEN_TAUS
@@ -742,11 +742,11 @@ class TestUniformScreen:
         groups = {}
         for j in (j * n // 16 for j in counts):
             groups.setdefault(boost if j > n // 2 else 1.0, []).append(j)
-        return spec, boost, cut, u, x, groups
+        return spec, boost, rate, cut, u, x, groups
 
     @pytest.mark.parametrize("case, n, name", CASES, ids=CASE_IDS)
     def test_keeps_every_row_the_cell_screen_keeps(self, case, n, name):
-        spec, boost, cut, u, x, groups = self.adversarial(case, n, name)
+        spec, boost, rate, cut, u, x, groups = self.adversarial(case, n, name)
         with np.errstate(divide="ignore"):  # the zero row's log sum is -inf
             screened = np.log(u).sum(axis=1) if name == "gm" else u
         for scale, group in groups.items():
@@ -763,12 +763,20 @@ class TestUniformScreen:
                 # the tightest CUTs sit on the cell screen's boundary: it keeps each finite one
                 assert np.array_equal(simulation._edge_screen(spec, boost, x, tight, j),
                                       np.isfinite(tight))
+                # the rate cancels: where nothing overflows, the case's CUTs keep the same
+                # rows on rate-lambda cells
+                zc = cut * scale
+                ok = np.isfinite(zc) & np.isfinite(self.limits(spec, boost, x, j))
+                x_ok, zc_ok = x[ok], zc[ok]
+                assert np.array_equal(
+                    simulation._edge_screen(spec, boost, x_ok / rate, zc_ok / rate, j),
+                    simulation._edge_screen(spec, boost, x_ok, zc_ok, j)), (scale, j)
 
     @pytest.mark.parametrize("case, n, name", CASES, ids=CASE_IDS)
     def test_screen_at_the_lowest_count_keeps_every_row_that_fires_in_its_group(
         self, case, n, name
     ):
-        spec, boost, cut, u, x, groups = self.adversarial(case, n, name)
+        spec, boost, rate, cut, u, x, groups = self.adversarial(case, n, name)
         for scale, group in groups.items():
             # the CUTs of the case, and per count of the group the smallest CUTs that fire there
             firing = [np.nextafter(self.limits(spec, boost, x, j), np.inf) for j in group]
@@ -780,8 +788,19 @@ class TestUniformScreen:
                     dropped = ~simulation._edge_screen(spec, boost, x, zc, min(group))
                     hits = simulation._edge_hits(spec, boost, x[dropped], zc[dropped], group)
                     assert hits.tolist() == [0] * len(group), (scale, group, i)
+                # the rate cancels: where nothing overflows, the case's CUTs fire as often
+                # on rate-lambda cells
+                zc = cut * scale
+                ok = np.isfinite(zc)
+                for j in group:
+                    ok &= np.isfinite(self.limits(spec, boost, x, j))
+                x_ok, zc_ok = x[ok], zc[ok]
+                assert np.array_equal(
+                    simulation._edge_hits(spec, boost, x_ok / rate, zc_ok / rate, group),
+                    simulation._edge_hits(spec, boost, x_ok, zc_ok, group)), scale
 
-    def test_kept_rows_turn_into_the_cells_of_the_whole_chunk(self):
+    @pytest.mark.parametrize("rate", [1.0, 2.5, 2.0**-960])
+    def test_kept_rows_turn_into_the_cells_of_the_whole_chunk(self, rate):
         gen = RandomStream(94).generator()
         u = gen.random((1024, 32))
         u[0, :3] = 0.0, np.nextafter(1.0, 0.0), 2.0**-53  # the extreme uniforms
@@ -793,6 +812,10 @@ class TestUniformScreen:
             assert rows.view(np.int64).tolist() == whole[pick].view(np.int64).tolist()
         # a chunk's CUTs go through the same transform
         assert np.array_equal(simulation._cells(u[:, 5].copy()), whole[:, 5])
+        # and a clutter model's draws are those unit-rate cells over its rate, bit for bit
+        drawn = sample_exponential(ClutterModel(rate), 4096, RandomStream(95))
+        unit = simulation._cells(RandomStream(95).generator().random(4096))
+        assert (unit / rate).view(np.int64).tolist() == drawn.view(np.int64).tolist()
 
     @pytest.mark.parametrize("spec", STATS_16, ids=STAT_IDS)
     def test_few_rows_reach_the_transform(self, spec, monkeypatch):
