@@ -157,6 +157,10 @@ def _check_placement(value: str, key: str) -> None:
         )
 
 
+def _check_rate(value: str, key: str) -> None:
+    ClutterModel(_parse_float(value, key))  # the one check of lambda, on which no row depends
+
+
 def _parse_affected(value: str, key: str) -> tuple[int, ...]:
     counts = _parse_grid(value, key)
     if not all(j.is_integer() for j in counts):
@@ -169,7 +173,7 @@ def _parse_affected(value: str, key: str) -> tuple[int, ...]:
 # a key with no field is only checked
 _COMMON_FIELDS = {
     "detectors": ("detectors", _parse_detectors),
-    "lambda": ("clutter_rate", _parse_float),
+    "lambda": (None, _check_rate),
     "window": ("window", _parse_count),
     "guard": ("guard", _parse_count),
     "design_pfa": ("design_pfa", _parse_float),
@@ -200,7 +204,6 @@ class RunConfig:
 
     mode: str
     detectors: tuple[DetectorRequest, ...]
-    clutter_rate: float = 1.0
     window: int = 32
     guard: int = 8
     design_pfa: float = 1e-4
@@ -218,7 +221,6 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.mode not in _MODES:
             raise ValueError(f"experiment mode must be one of {_MODES}, got {self.mode!r}")
-        ClutterModel(self.clutter_rate)  # the one check of lambda, on which no row depends
         if not (0.0 < self.design_pfa <= 1.0):
             raise ValueError(f"design_pfa: must lie in (0, 1], got {self.design_pfa}")
         if self.runs < 1:

@@ -28,11 +28,11 @@ worker count and any scheduling order.
 A run builds every batch first, the public operations and the CLI alike;
 one plan then yields the blocks of all batches one at a time, so its
 memory does not grow with ``runs``.  The blocks go to one process pool of
-at most one process per block, at most two per process in flight, and
-each block's counts are added as it finishes.  With one worker, or a
-single block, the blocks run in the calling process.  Only a process that
-draws loads ``numpy.random``, and no path calls ``np.unique``, which in
-numpy 2.x imports ``numpy.ma`` on first use.
+at most one process per block and per CPU, at most two per process in
+flight, and each block's counts are added as it finishes.  With one
+worker, a single block or a single CPU, the blocks run in the calling
+process.  Only a process that draws loads ``numpy.random``, and no path
+calls ``np.unique``, which in numpy 2.x imports ``numpy.ma`` on first use.
 
 The clutter rate cancels from each comparison ``z*c > tau*g(x)`` of a
 scale-invariant ``g``, so the engine draws unit-rate clutter.  Interferers
@@ -47,6 +47,7 @@ the leading cells, and a point is a CUT scale and a count of leading cells.
 from __future__ import annotations
 
 import math
+import os
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
@@ -410,10 +411,10 @@ def _point_estimates(batches: Sequence[_TrialBatch], workers: int) -> list[PdEst
     batch is evaluated on that draw, so the points of one batch (one curve)
     share their random numbers.  The plan yields the blocks of all batches
     one at a time.  With several workers they are submitted to one pool of
-    at most one process per block, never more than two per process at a
-    time, and each block's counts are added as it finishes, so memory does
-    not grow with ``runs``; integer addition makes each point's sum
-    independent of the order in which workers finish.
+    at most one process per block and per CPU, never more than two per
+    process at a time, and each block's counts are added as it finishes, so
+    memory does not grow with ``runs``; integer addition makes each point's
+    sum independent of the order in which workers finish.
     """
     _check_count("workers", workers, 1)
     totals = [[0] * len(batch.cut_scales) for batch in batches]
@@ -421,7 +422,7 @@ def _point_estimates(batches: Sequence[_TrialBatch], workers: int) -> list[PdEst
     def add(index: int, counts: list[int]) -> None:
         totals[index] = [t + c for t, c in zip(totals[index], counts)]
 
-    processes = min(workers, sum(map(_block_count, batches)))
+    processes = min(workers, sum(map(_block_count, batches)), os.cpu_count() or 1)
     if processes <= 1:
         for index, block in _blocks(batches):
             add(index, _batch_successes(block))

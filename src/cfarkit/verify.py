@@ -3,15 +3,15 @@
 Each property is a fast, deterministic check of an invariant the toolkit
 is built on: scale invariance of the clutter statistics, inversion round
 trips, exchangeability identities, analytic dominance relations, and the
-defining CFAR property (false-alarm rate independent of the clutter
-power).  The one Monte Carlo check uses a fixed seed and generous
-4-standard-error margins so spurious failures are effectively impossible.
+defining CFAR property.  That property, a false-alarm rate independent of
+the clutter power, is ``decision-scale-invariance``: scaling the CUT and
+every CRP cell by one factor leaves each decision as it was.  No property
+runs the Monte Carlo engine, so each one passes or fails exactly.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -19,16 +19,8 @@ from typing import Callable
 import numpy as np
 
 from .analytic import ca_pd, ca_threshold, ideal_pd, os_pd, os_pfa, os_threshold
-from .detector import (
-    DetectorSpec,
-    GeometricMean,
-    OrderStatistic,
-    Sum,
-    clutter_statistic,
-    decide,
-)
-from .simulation import estimate_pd
-from .stats import ClutterModel, RandomStream, db_to_linear, linear_to_db
+from .detector import GeometricMean, OrderStatistic, Sum, clutter_statistic, decide
+from .stats import db_to_linear, linear_to_db
 
 __all__ = ["PropertyResult", "run_properties"]
 
@@ -178,26 +170,6 @@ def _check_ideal_bound() -> tuple[bool, str]:
     return True, "ideal dominates CA; gap shrinks monotonically in N"
 
 
-def _check_lambda_invariance() -> tuple[bool, str]:
-    n, pfa, runs = 16, 1e-2, 200_000
-    detectors = (
-        DetectorSpec(Sum(), n, ca_threshold(pfa, n)),
-        DetectorSpec(OrderStatistic(n - 1), n, os_threshold(pfa, n, n - 1)),
-    )
-    base = RandomStream(_VERIFY_SEED + 4)
-    for d_index, det in enumerate(detectors):
-        estimates = [
-            estimate_pd(det, ClutterModel(rate), None, None, runs,
-                        base.substream(d_index, r_index))
-            for r_index, rate in enumerate((0.1, 1.0, 10.0))
-        ]
-        for a, b in itertools.combinations(estimates, 2):
-            joint = math.hypot(a.standard_error, b.standard_error)
-            if abs(a.p_hat - b.p_hat) > 4.0 * joint:
-                return False, f"Pfa drifted with clutter rate for {det.stat!r}"
-    return True, "empirical Pfa agrees across clutter rates (4 SE)"
-
-
 _REGISTRY: tuple[tuple[str, Callable[[], tuple[bool, str]]], ...] = (
     ("scale-invariance", _check_scale_invariance),
     ("decision-scale-invariance", _check_decision_scale_invariance),
@@ -213,7 +185,6 @@ _REGISTRY: tuple[tuple[str, Callable[[], tuple[bool, str]]], ...] = (
     ("ca-dominance", _check_ca_dominance),
     ("os-index-response", _check_os_index_response),
     ("ideal-bound", _check_ideal_bound),
-    ("lambda-invariance", _check_lambda_invariance),
 )
 
 

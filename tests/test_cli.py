@@ -654,6 +654,11 @@ class TestImportCost:
                 "'cfarkit.verify') if m in sys.modules])")
         assert self._fresh("-c", code).strip() == "[]"
 
+    def test_verify_loads_no_engine(self):
+        code = ("import sys, cfarkit.cli; code = cfarkit.cli.main(['verify']); "
+                "print(code, 'cfarkit.simulation' in sys.modules)")
+        assert self._fresh("-c", code).splitlines()[-1] == "0 False"
+
     def test_one_worker_monte_carlo_loads_no_pool(self, tmp_path):
         cfg, out = tmp_path / "mc.cfg", tmp_path / "mc.csv"
         cfg.write_text("detectors = ca\nscr_db = 0, 10\ninterference_db = 5\nruns = 70000\n"
@@ -749,7 +754,9 @@ class TestRunPlan:
     }
 
     @pytest.mark.parametrize("command", sorted(CONFIGS))
-    def test_one_pool_per_run_and_identical_bytes(self, command, tmp_path, pools_started):
+    def test_one_pool_per_run_and_identical_bytes(self, command, tmp_path, pools_started,
+                                                  monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)  # no pool size depends on the host
         cfg = tmp_path / "run.cfg"
         # 65,536 + 4,464 trials: every point has two unequal blocks
         cfg.write_text(f"experiment = {command}\nwindow = 16\ndesign_pfa = 1e-2\n"
