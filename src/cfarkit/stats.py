@@ -36,6 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analytic import _check_count
+
 __all__ = [
     "ClutterModel",
     "TargetContext",
@@ -138,8 +140,7 @@ def _cells(u: np.ndarray) -> np.ndarray:
 
 def sample_exponential(model: ClutterModel, n: int, stream: RandomStream) -> np.ndarray:
     """Draw ``n`` iid exponential intensities with parameter ``model.rate``."""
-    if n < 1:
-        raise ValueError(f"sample count must be >= 1, got {n!r}")
+    _check_count("sample count", n, 1)
     return _cells(stream.generator().random(n)) / model.rate
 
 

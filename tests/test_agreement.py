@@ -4,13 +4,14 @@ A point is a detector design, a CUT scale and two cell populations: the
 first ``count`` CRP cells at a common scale (interferers, or a clutter
 edge's boosted cells) and the others at scale 1.  Its exact detection
 probability is ``E[exp(-u * Y)]``, with ``u = tau / cut_scale`` and ``Y``
-the clutter statistic of the CRP, taken from oracles written here:
+the clutter statistic of the CRP, taken from the oracles of
+``exact_oracles``, which :func:`exact` adapts to a design:
 
 - CA: ``exp(-sum n_i * log1p(u * c_i))``.
-- OS(k): a quadrature over the Poisson-binomial count of cells below a
-  level: the k-th smallest cell lies below it when at least k cells do.
+- OS(k): the Poisson-binomial sum of exponentials in ``decimal``: the k-th
+  smallest cell lies above a level when fewer than k cells lie below it.
 - GM: the GM Pfa at ``u * (prod c_i)**(1/N)``, by the ``scipy.special``
-  oracle of ``test_analytic``.
+  Mellin-Barnes sum.
 
 ``estimate_pd``, ``scr_sweep`` with interferers and ``pfa_regulation_curve``
 each estimate their rows at the drawn points, and every row must lie
@@ -23,8 +24,7 @@ import math
 import random
 
 import pytest
-from scipy import integrate
-from test_analytic import gm_pfa_by_scipy_loggamma
+from exact_oracles import ca_exceed, gm_exceed, os_exceed
 
 from cfarkit.detector import DetectorSpec, GeometricMean, OrderStatistic, Sum, resolve_threshold
 from cfarkit.simulation import (
@@ -43,42 +43,16 @@ RUNS = 100_000  # two blocks per point
 Z = 4.0
 
 
-def os_exceed_by_quadrature(u: float, k: int, populations) -> float:
-    """``E[exp(-u * X_(k))]`` for independent exponential cells of ``(count, scale)`` groups.
-
-    Integrates ``exp(-s) * P(X_(k) <= s/u)`` over ``s``, where ``X_(k) <= t``
-    when at least ``k`` cells lie below ``t``: a Poisson-binomial count.
-    """
-
-    def cdf(t: float) -> float:
-        below, reached = [1.0] + [0.0] * (k - 1), 0.0  # P(m cells below t) for m < k; P(>= k)
-        for count, scale in populations:
-            p, q = -math.expm1(-t / scale), math.exp(-t / scale)
-            for _ in range(count):
-                reached += below[-1] * p
-                below = [below[0] * q] + [a * q + b * p for a, b in zip(below[1:], below)]
-        return reached
-
-    # the count rises where s/u passes a group's scale: give quad those places
-    points = sorted({u * scale * x for _, scale in populations for x in (0.1, 1.0, 10.0)
-                     if u * scale * x < 60.0})
-    value, err = integrate.quad(lambda s: math.exp(-s) * cdf(s / u), 0.0, 60.0,
-                                points=points or None, epsabs=0.0, epsrel=1e-10, limit=500)
-    assert err < 1e-8 * value  # the quadrature itself converged
-    return value
-
-
 def exact(spec: DetectorSpec, cut_scale: float, count: int, scale: float) -> float:
     """P(CUT > tau * statistic) with ``count`` CRP cells at ``scale`` and the rest at 1."""
     n, stat = spec.window_length, spec.stat
     populations = [(c, s) for c, s in ((count, scale), (n - count, 1.0)) if c]
     u = spec.threshold_multiplier / cut_scale
     if isinstance(stat, Sum):
-        return math.exp(-sum(c * math.log1p(u * s) for c, s in populations))
+        return ca_exceed(u, populations)
     if isinstance(stat, OrderStatistic):
-        return os_exceed_by_quadrature(u, stat.k, populations)
-    log_mean = sum(c * math.log(s) for c, s in populations) / n
-    return gm_pfa_by_scipy_loggamma(u * math.exp(log_mean), n)[0]
+        return os_exceed(u, stat.k, populations)[0]
+    return gm_exceed(u, populations)[0]
 
 
 def _draw_points():

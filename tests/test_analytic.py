@@ -1,27 +1,31 @@
 """Exact evaluators and the threshold solver.
 
-Derived expectations are frozen from independent sources: 40-digit
-arithmetic for point values, an order-statistic quadrature oracle for the
-exceedance probability, brute-force Monte Carlo for small windows, and
-for the geometric mean ``scipy.special.loggamma``, the single-cell
-identity ``Pfa = 1/(1+tau)`` and conditional Monte Carlo.
-The quadrature oracle integrates
-
-    P(Z0 > tau * Z_(k)) = integral f_(k)(t) * exp(-tau * t) dt
-
-with f_(k) the density of the k-th order statistic of N unit
-exponentials, built from the binomial form of the order-statistic
-density, a route that never touches the product form under test.
+Derived expectations are frozen from independent sources, the exact
+oracles of ``exact_oracles`` among them: 40- and 50-digit arithmetic for
+the CA and Rohling products and the thresholds, the Poisson-binomial sum of
+``os_exceed`` for the order-statistic exceedance, and for the geometric
+mean the ``scipy.special.loggamma`` Mellin-Barnes sum; besides them
+brute-force Monte Carlo for small windows, the single-cell identity
+``Pfa = 1/(1+tau)`` and conditional Monte Carlo.  ``os_exceed`` expands
+the k-th order statistic's exceedance into exponentials, a route that
+never touches the product form under test.
 """
 
-import decimal
 import itertools
 import math
-import sys
 
 import numpy as np
 import pytest
-from scipy import integrate, special
+from exact_oracles import (
+    ca_pfa_exact,
+    ca_threshold_exact,
+    gm_pfa_by_scipy_loggamma,
+    os_exceed,
+    os_pfa_exact,
+    os_threshold_exact,
+    relative_error,
+)
+from scipy import special
 
 from cfarkit import analytic
 from cfarkit.analytic import (
@@ -48,50 +52,6 @@ PFA_GRID = (1e-2, 1e-4, 1e-6)
 WINDOW_GRID = (8, 16, 32, 64)
 
 
-def os_exceedance_by_quadrature(tau: float, n: int, k: int) -> float:
-    """Independent oracle: quadrature over the k-th order-statistic density."""
-    binom = math.comb(n, k) * k
-
-    def integrand(t: float) -> float:
-        cdf = -math.expm1(-t)
-        sf = math.exp(-t)
-        return binom * cdf ** (k - 1) * sf ** (n - k) * sf * math.exp(-tau * t)
-
-    value, err = integrate.quad(integrand, 0.0, np.inf, epsabs=0.0, epsrel=1e-12, limit=500)
-    assert err < 1e-11 * value  # quadrature itself converged
-    return value
-
-
-def gm_pfa_by_scipy_loggamma(tau: float, n: int) -> tuple[float, float]:
-    """Independent GM oracle: the Mellin-Barnes sum with ``scipy.special.loggamma``.
-
-    Its line ``Re s`` sits a tenth of the way from the saddle towards the
-    nearer pole, and its step is finer than the code's, so it shares
-    neither the log-gamma nor the node grid.  Returns the Pfa and the
-    oracle's own relative rounding error, 8 eps times the size of the
-    log-gamma terms it adds (1.2e-11 at N = 1024 and Pfa 1e-300).
-    """
-    log_tau = math.log(tau)
-
-    def log_peak(c):
-        return math.lgamma(c) + n * math.lgamma(1.0 - c / n) - c * log_tau
-
-    grid = np.linspace(0.0, n, 4001)[1:-1]
-    c = grid[np.argmin([log_peak(x) for x in grid])]
-    c += 0.1 * min(c, n - c)
-    h = min(0.01, min(c, n - c) / 7.0)  # trapezoid error exp(-14 pi) of the integrand
-    peak, total, start = log_peak(c), 0.0, 0
-    while True:  # chunks of 4096 nodes until the integrand has decayed
-        s = c + 1j * h * np.arange(start, start + 4096)
-        log_f = special.loggamma(s) + n * special.loggamma(1.0 - s / n) - s * log_tau
-        terms = np.exp(log_f - peak) * np.where(s.imag == 0, 0.5, 1.0)
-        total, start = total + terms.real.sum(), start + 4096
-        if abs(terms[-1]) < 1e-17 * abs(total):
-            break
-    size = abs(math.lgamma(c)) + n * abs(math.lgamma(1.0 - c / n)) + c * abs(log_tau)
-    return total * h / math.pi * math.exp(peak), 8.0 * sys.float_info.epsilon * size
-
-
 class TestCellAveraging:
     @pytest.mark.parametrize("scr,n", [(0.0, 1), (3.0, 8), (100.0, 64)])
     def test_zero_threshold_always_fires(self, scr, n):
@@ -115,11 +75,8 @@ class TestCellAveraging:
         "pfa, n", [(0.999, 1), (1 - 1e-9, 1024), (0.5, 16), (1e-4, 32), (1e-30, 2), (1e-300, 1)]
     )
     def test_threshold_against_decimal_oracle(self, pfa, n):
-        # pfa**(-1/n) - 1 to 40 digits from the exact binary value of pfa: near
-        # Pfa 1 the subtraction cancels, near 0 log(pfa) carries a large error
-        ctx = decimal.Context(prec=40)
-        exact = ctx.subtract(ctx.power(decimal.Decimal(pfa), ctx.divide(-1, n)), 1)
-        assert abs(ctx.divide(decimal.Decimal(ca_threshold(pfa, n)), exact) - 1) <= 1e-15
+        # near Pfa 1 the subtraction cancels, near 0 log(pfa) carries a large error
+        assert relative_error(ca_threshold(pfa, n), ca_threshold_exact(pfa, n)) <= 1e-15
 
     def test_pfa_is_pd_at_zero_scr(self):
         for tau, n in itertools.product((0.1, 0.5, 2.0), WINDOW_GRID):
@@ -179,9 +136,9 @@ class TestOrderStatistic:
         "tau,n,k",
         [(0.5, 8, 4), (1.0, 8, 8), (3.9136403991784303, 32, 31), (2.0, 32, 16), (59.7, 4, 3)],
     )
-    def test_against_quadrature_oracle(self, tau, n, k):
-        oracle = os_exceedance_by_quadrature(tau, n, k)
-        assert os_pfa(tau, n, k) == pytest.approx(oracle, rel=1e-9, abs=0.0)
+    def test_against_exact_oracle(self, tau, n, k):
+        oracle, rounding = os_exceed(tau, k, [(n, 1.0)])
+        assert os_pfa(tau, n, k) == pytest.approx(oracle, rel=1e-13 + rounding, abs=0.0)
 
     def test_product_form_survives_large_windows(self):
         value = os_pfa(50.0, 1024, 1023)
@@ -282,13 +239,23 @@ class TestOsThreshold:
         # 1e-12 Pfa residual alone would leave tau loose by about 1e-5
         pfa = 1 - 1e-7
         tau = os_threshold(pfa, n, k)
-        with decimal.localcontext(decimal.Context(prec=50)):
-            log_p, root = decimal.Decimal(pfa).ln(), decimal.Decimal(tau)
-            for _ in range(3):  # Newton on sum_i log(1 + root/i) = -log p, from tau
-                f = sum((1 + root / i).ln() for i in range(n - k + 1, n + 1)) + log_p
-                root -= f / sum(1 / (i + root) for i in range(n - k + 1, n + 1))
-            error = abs(decimal.Decimal(tau) / root - 1)
-        assert error <= 1e-12, float(error)
+        error = relative_error(tau, os_threshold_exact(pfa, n, k, tau))
+        assert error <= 1e-12, error
+
+    def test_matched_pfa_pd_maximiser(self):
+        # the OS index k* of highest Pd at a matched Pfa, over Pfa 1e-2, 1e-4 and
+        # 1e-6 and SCR 0, 10, 20 and 30 dB: about 0.82-0.85 N and never N from
+        # N = 16 on (Rohling, 1983, advises k near 3N/4).  Criterion 05, Pd
+        # nondecreasing over k in {24, 28, 30, 31} at N = 32, fails on this
+        expected = {8: {7, 8}, 16: {14, 15}, 32: {26, 27, 28}, 64: {52, 53, 54}}
+        for n, best in expected.items():
+            found = set()
+            for pfa in (1e-2, 1e-4, 1e-6):
+                taus = {k: os_threshold(pfa, n, k) for k in range(1, n + 1)}
+                for scr_db in (0, 10, 20, 30):
+                    pds = {k: os_pd(tau, 10.0 ** (scr_db / 10.0), n, k) for k, tau in taus.items()}
+                    found.add(max(pds, key=pds.get))
+            assert found == best, (n, sorted(found))
 
     def test_iteration_budget_failure_carries_bracket(self, monkeypatch):
         # one evaluation, at the lower edge: 17 and 32 times the CA multiplier of 16 cells
@@ -442,18 +409,12 @@ def contract_designs():
 
 def true_pfa_error(stat: str, k: int | None, n: int, tau: float, pfa: float) -> tuple[float, float]:
     """``|Pfa(tau)/pfa - 1|`` by an independent oracle, and the oracle's own error."""
-    ctx = decimal.Context(prec=40)
-    t = decimal.Decimal(tau)
-    if stat == "os":  # Rohling's product of k factors i/(i + tau)
-        exact = decimal.Decimal(1)
-        for i in range(n - k + 1, n + 1):
-            exact = ctx.multiply(exact, ctx.divide(i, ctx.add(i, t)))
-    elif stat == "ca" or n == 1:  # the GM of one cell is that cell
-        exact = ctx.power(ctx.add(1, t), -n)
-    else:
-        value, rounding = gm_pfa_by_scipy_loggamma(tau, n)
-        return abs(value / pfa - 1.0), rounding
-    return float(abs(ctx.divide(exact, decimal.Decimal(pfa)) - 1)), 0.0
+    if stat == "os":
+        return relative_error(os_pfa_exact(tau, n, k), pfa), 0.0
+    if stat == "ca" or n == 1:  # the GM of one cell is that cell
+        return relative_error(ca_pfa_exact(tau, n), pfa), 0.0
+    value, rounding = gm_pfa_by_scipy_loggamma(tau, n)
+    return abs(value / pfa - 1.0), rounding
 
 
 class TestThresholdContract:

@@ -1,7 +1,8 @@
 """Monte Carlo engine: oracle agreement, determinism, and interference handling.
 
 Statistical assertions use 4 standard-error margins against closed-form
-oracles from the analytic module, keeping false failures out of the suite.
+oracles from the analytic module, and for heterogeneous cells the CA
+product of ``exact_oracles``, keeping false failures out of the suite.
 """
 
 import concurrent.futures
@@ -17,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from exact_oracles import ca_exceed
 
 from cfarkit import detector, simulation
 from cfarkit.analytic import ca_pd, ca_threshold, gm_threshold, os_threshold
@@ -620,13 +622,13 @@ class TestCommonRandomNumbers:
         (curve,) = scr_sweep(exp)
         for scr_db, est in curve.points():
             u = tau / (1.0 + db_to_linear(scr_db))
-            expect = (1.0 + u * (1.0 + inr)) ** -2 * (1.0 + u) ** -(n - 2)
+            expect = ca_exceed(u, [(2, 1.0 + inr), (n - 2, 1.0)])
             assert within(est, expect), (scr_db, est.p_hat, expect)
         boost = db_to_linear(10.0)
         reg = RegulationSpec(runs=200_000, boost_db=10.0)
         for j, est in pfa_regulation_curve(spec, CLUTTER, reg, 84):
             u = tau / (boost if j > n // 2 else 1.0)
-            expect = (1.0 + u * boost) ** -j * (1.0 + u) ** -(n - j)
+            expect = ca_exceed(u, [(j, boost), (n - j, 1.0)])
             assert within(est, expect), (j, est.p_hat, expect)
 
     @pytest.mark.parametrize("inter", [None, InterferenceSpec(2, 15.0)], ids=["clean", "int"])

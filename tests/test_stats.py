@@ -152,6 +152,16 @@ class TestSampleExponential:
         with pytest.raises(ValueError):
             sample_exponential(ClutterModel(1.0), 0, RandomStream(1))
 
+    @pytest.mark.parametrize("n", [2.5, 3.0, True])
+    def test_count_must_be_an_integer(self, n):
+        # numpy refuses each with a TypeError that names no field
+        with pytest.raises(ValueError, match="^sample count must be an integer >= 1, got "):
+            sample_exponential(ClutterModel(1.0), n, RandomStream(1))
+
+    def test_numpy_integers_are_counts(self):
+        samples = sample_exponential(ClutterModel(1.0), np.int64(8), RandomStream(1))
+        assert samples.tolist() == sample_exponential(ClutterModel(1.0), 8, RandomStream(1)).tolist()
+
     def test_positive(self):
         samples = sample_exponential(ClutterModel(3.0), 10_000, RandomStream(5))
         assert np.all(samples >= 0.0) and np.all(np.isfinite(samples))
